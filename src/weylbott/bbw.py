@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .characters import weyl_dim
+from .errors import EngineError
 from .lie_core import Subsystem, Weight
 from .parabolic import (
     GradedBundle,
@@ -48,7 +49,8 @@ def cohomology(setup: ParabolicSetup, w: Weight) -> CohomologyResult:
     if res is None:
         return CohomologyResult.zero()
     length, g = res
-    assert 0 <= length <= setup.dim_x, "cohomology degree outside 0..dim X"
+    if not 0 <= length <= setup.dim_x:
+        raise EngineError(f"cohomology degree {length} of {w} outside 0..{setup.dim_x}")
     return CohomologyResult(length, g, weyl_dim(rs, full, g))
 
 

@@ -8,11 +8,16 @@ Newton's identities, with exact division as a built-in integrality check.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction as Q
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import GuardrailExceeded, NonIntegralPlethysm, NotDecomposable, NotDominant
+from .errors import (
+    EngineError,
+    GuardrailExceeded,
+    NonIntegralPlethysm,
+    NotDecomposable,
+    NotDominant,
+)
 from .lie_core import RootSystem, Subsystem, Weight
 
 Character = dict[Weight, int]
@@ -20,23 +25,6 @@ Character = dict[Weight, int]
 # Hard ceiling on character support; a product that would cross it is
 # almost certainly a mistake in the calling code.
 MAX_SUPPORT = 10 ** 6
-
-_cache_lock = threading.Lock()
-_char_cache: dict[tuple, Character] = {}
-_cache_enabled = True
-
-
-def set_cache_enabled(flag: bool) -> None:
-    global _cache_enabled
-    with _cache_lock:
-        _cache_enabled = bool(flag)
-        if not flag:
-            _char_cache.clear()
-
-
-def clear_cache() -> None:
-    with _cache_lock:
-        _char_cache.clear()
 
 
 def _guard(size: int) -> None:
@@ -63,14 +51,15 @@ def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
         num *= sum(e * (x + 1) for e, x in zip(r.coroot, lam))
         den *= sum(r.coroot)
     q, rem = divmod(num, den)
-    assert rem == 0, "Weyl dimension must be an integer"
+    if rem:
+        raise EngineError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
     return q
 
 
 def weyl_orbit(rs: RootSystem, sub: Subsystem, lam: Weight) -> list[Weight]:
     """The sub-Weyl orbit of lam, deterministically ordered."""
     lam = rs.check_rank(lam)
-    nodes = Subsystem.sorted_nodes.fget(sub)  # type: ignore[attr-defined]
+    nodes = sub.sorted_nodes
     seen = {lam}
     queue = [lam]
     while queue:
@@ -126,29 +115,25 @@ def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weight, in
                 k += 1
         den = sum(c * di * (a + b + 2) for c, di, a, b in zip(off, d, lam, nu))
         q, rem = divmod(2 * total, den)
-        assert rem == 0 and q > 0, "Freudenthal recursion must yield positive integers"
+        if rem or q <= 0:
+            raise EngineError(f"Freudenthal multiplicity of {nu} in {lam} is {2 * total}/{den}")
         mults[nu] = q
     return mults
 
 
 def irrep_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> Character:
-    """Full character of the irreducible with highest weight lam."""
+    """Full character of the irreducible with highest weight lam; a private copy."""
     lam = _require_dominant(rs, sub, lam)
-    key = (rs.key, sub.nodes, lam)
-    if _cache_enabled:
-        with _cache_lock:
-            hit = _char_cache.get(key)
-        if hit is not None:
-            return dict(hit)
-    out: Character = {}
-    for nu, m in _freudenthal(rs, sub, lam).items():
-        for w in weyl_orbit(rs, sub, nu):
-            out[w] = m
-        _guard(len(out))
-    if _cache_enabled:
-        with _cache_lock:
-            _char_cache[key] = dict(out)
-    return out
+    key = (sub.nodes, lam)
+    out = rs.char_memo.get(key)
+    if out is None:
+        out = {}
+        for nu, m in _freudenthal(rs, sub, lam).items():
+            for w in weyl_orbit(rs, sub, nu):
+                out[w] = m
+            _guard(len(out))
+        rs.char_memo[key] = out
+    return dict(out)
 
 
 # -- ring operations ----------------------------------------------------

@@ -13,8 +13,7 @@ import os
 import sys
 from typing import Optional
 
-from . import characters
-from .bbw import ExtTable, cohomology, ext_table
+from .bbw import cohomology, ext_table
 from .characters import char_dim, irrep_character, weyl_dim
 from .errors import EngineError
 from .ledger import (
@@ -35,6 +34,7 @@ from .parabolic import (
 from .presets import get_preset, load_cartan, preset_names
 from .verify import (
     builtin_collection,
+    ext_table_to_obj,
     load_collection,
     render_report_text,
     report_to_json,
@@ -72,22 +72,6 @@ def _char_obj(c: dict) -> list[dict]:
 
 def _graded_obj(graded) -> list[dict]:
     return [{"weight": list(w), "mult": m} for w, m in graded]
-
-
-def _ext_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:
-    rs = setup.rs
-    full = Subsystem.full(rs.rank)
-    return [
-        {
-            "degree": k,
-            "dim": table.dims[k],
-            "weights": [
-                {"weight": list(w), "dual": list(rs.dual_dominant(full, w)), "mult": m}
-                for w, m in table.weights[k]
-            ],
-        }
-        for k in range(table.dim_x + 1)
-    ]
 
 
 def _emit(args, obj, text: str) -> None:
@@ -172,7 +156,7 @@ def _cmd_ext(args) -> int:
             lines.append(f"Ext^{k}: dim {table.dims[k]}  [{ws}]")
     if not lines:
         lines.append("all degrees vanish")
-    _emit(args, _ext_obj(setup, table), "\n".join(lines))
+    _emit(args, ext_table_to_obj(setup, table), "\n".join(lines))
     return 0
 
 
@@ -187,18 +171,10 @@ def _cmd_verify(args) -> int:
         coll = load_collection(args.collection_file)
     else:
         coll = builtin_collection(args.collection)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    report = verify_strong_exceptional(coll, jobs=jobs)
-    summary = (
-        f"{coll.name}: {len(coll.bundles)} bundles, {report.pairs_checked} pairs, "
-        f"{len(report.violations)} violation(s), verdict {report.verdict.upper()} "
-        f"({report.elapsed_seconds:.2f}s)"
-    )
+    report = verify_strong_exceptional(coll)
     if args.format == "json":
         print(report_to_json(report, include_timing=args.timing))
     else:
-        print(summary)
-        print()
         print(render_report_text(report))
     return 0 if report.verdict == "pass" else 1
 
@@ -232,11 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="crossed node (1-based); omit to work with the full system",
         )
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--no-cache", action="store_true", help="disable the character cache")
 
     p = sub.add_parser("presets", help="list named Cartan matrices")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_presets, no_cache=False)
+    p.set_defaults(func=_cmd_presets)
 
     p = sub.add_parser("dim", help="dimension of an irreducible module")
     common(p)
@@ -284,15 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--collection", default="cayley27", help="built-in collection name")
     p.add_argument("--collection-file", help="path to a collection JSON file")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker threads for pair checks (default: available cores)",
-    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timing", action="store_true", help="include elapsed time in JSON output")
-    p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ledger", help="check an identity ledger")
@@ -306,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "no_cache", False):
-        characters.set_cache_enabled(False)
     try:
         return args.func(args)
     except EngineError as exc:
@@ -316,9 +282,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    finally:
-        if getattr(args, "no_cache", False):
-            characters.set_cache_enabled(True)
 
 
 if __name__ == "__main__":

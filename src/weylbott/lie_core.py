@@ -170,7 +170,9 @@ class RootSystem:
         self.positive_roots: tuple[PositiveRoot, ...] = self._generate(max_roots)
         self._sub_roots: dict[frozenset[int], tuple[PositiveRoot, ...]] = {}
         self._height_vec: Optional[tuple[Q, ...]] = None
-        self.key = cartan.entries  # hashable fingerprint for caches
+        # Irreducible characters by (sub.nodes, highest weight), filled by
+        # characters.irrep_character; a fresh root system starts cold.
+        self.char_memo: dict[tuple[frozenset[int], Weight], dict[Weight, int]] = {}
 
     # -- construction -------------------------------------------------
 

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 from .characters import (
     Character,
-    char_dim,
-    char_mul,
+    char_add,
+    char_scale,
     decompose,
     irrep_character,
     weyl_dim,
 )
-from .errors import NotDominant
+from .errors import EngineError, NotDominant
 from .lie_core import RootSystem, Subsystem, Weight
 
 # A direct sum of irreducible bundles, canonically ordered.
@@ -105,9 +105,12 @@ def levi_tensor(setup: ParabolicSetup, a: Weight, b: Weight) -> GradedBundle:
             acc[w] = n
         else:
             del acc[w]
-    assert all(m > 0 for m in acc.values()), "tensor components must have positive multiplicity"
+    if any(m <= 0 for m in acc.values()):
+        raise EngineError(f"tensor product of {a} and {b} has a non-positive multiplicity")
     total = sum(m * weyl_dim(rs, sub, w) for w, m in acc.items())
-    assert total == bundle_rank(setup, a) * bundle_rank(setup, b), "rank bookkeeping failed"
+    expected = bundle_rank(setup, a) * bundle_rank(setup, b)
+    if total != expected:
+        raise EngineError(f"rank bookkeeping failed for {a} (x) {b}: {total} != {expected}")
     return sorted(acc.items(), key=lambda t: rs.sort_key(t[0]))
 
 
@@ -127,8 +130,6 @@ def branch(setup: ParabolicSetup, lam: Weight) -> GradedBundle:
 
 
 def graded_char(setup: ParabolicSetup, graded: GradedBundle) -> Character:
-    from .characters import char_add, char_scale
-
     acc: Character = {}
     for w, m in graded:
         acc = char_add(acc, char_scale(bundle_char(setup, w), m))

@@ -49,13 +49,33 @@ def get_preset(name: str) -> CartanMatrix:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(preset_names())}") from None
 
 
+def as_int(x, what: str) -> int:
+    """x if it is a JSON integer (1.0 counts, true does not), else ValueError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
+def as_int_list(x, what: str) -> list[int]:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list of integers, got {x!r}")
+    return [as_int(v, what) for v in x]
+
+
 def cartan_from_obj(obj: dict) -> CartanMatrix:
     """Build a Cartan matrix from {"rank": n, "entries": [[...], ...]}."""
-    rank = obj["rank"]
-    entries = obj["entries"]
-    if len(entries) != rank:
-        raise ValueError(f"entries has {len(entries)} rows, rank says {rank}")
-    return CartanMatrix.from_rows(entries)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a Cartan matrix must be a JSON object, got {obj!r}")
+    rank = as_int(obj.get("rank"), "rank")
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
+        raise ValueError(f"entries must be a list of rows, got {entries!r}")
+    rows = [as_int_list(row, "a Cartan matrix row") for row in entries]
+    if len(rows) != rank:
+        raise ValueError(f"entries has {len(rows)} rows, rank says {rank}")
+    return CartanMatrix.from_rows(rows)
 
 
 def load_cartan(path: str) -> CartanMatrix:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .bbw import ExtTable, ext_table
-from .lie_core import RootSystem, Weight
+from .lie_core import RootSystem, Subsystem, Weight
 from .parabolic import ParabolicSetup, check_bundle, make_setup, twist
-from .presets import cartan_from_obj, cartan_to_obj, get_preset
+from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,14 @@ class Collection:
     blocks: Optional[tuple[int, ...]] = None  # display grouping, e.g. by twist
 
     def __post_init__(self):
+        if not self.bundles:
+            raise ValueError("a collection needs at least one bundle")
         for w in self.bundles:
             check_bundle(self.setup, w)
-        if self.blocks is not None and sum(self.blocks) != len(self.bundles):
-            raise ValueError("block sizes must sum to the collection size")
+        if self.blocks is not None and (
+            min(self.blocks, default=1) < 1 or sum(self.blocks) != len(self.bundles)
+        ):
+            raise ValueError("block sizes must be positive and sum to the collection size")
 
 
 @dataclass(frozen=True)
@@ -85,35 +88,26 @@ def _check_pair(setup: ParabolicSetup, i: int, j: int, table: ExtTable) -> list[
     return out
 
 
-def verify_strong_exceptional(coll: Collection, jobs: int = 1) -> VerificationReport:
-    """Check all ordered pairs; never stops early, so reports are exhaustive."""
+def verify_strong_exceptional(coll: Collection) -> VerificationReport:
+    """Check all ordered pairs; never stops early, so reports are exhaustive.
+
+    The report keeps the collection and so its root system; the character
+    memo filled by the run is emptied on return, so that a kept report does
+    not also keep every character the run built.
+    """
     setup = coll.setup
-    n = len(coll.bundles)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     start = time.monotonic()
-
-    def job(pair: tuple[int, int]) -> ExtTable:
-        i, j = pair
-        return ext_table(setup, coll.bundles[i - 1], coll.bundles[j - 1])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            tables = list(pool.map(job, pairs))
-    else:
-        tables = [job(p) for p in pairs]
+    tables: list[ExtTable] = []
     violations: list[Violation] = []
-    for (i, j), table in zip(pairs, tables):
-        violations.extend(_check_pair(setup, i, j, table))
+    try:
+        for i, a in enumerate(coll.bundles, 1):
+            for j, b in enumerate(coll.bundles, 1):
+                table = ext_table(setup, a, b)
+                tables.append(table)
+                violations.extend(_check_pair(setup, i, j, table))
+    finally:
+        setup.rs.char_memo.clear()
     return VerificationReport(coll, tables, violations, time.monotonic() - start)
-
-
-def hom_matrix(coll: Collection) -> list[list[int]]:
-    """dim Hom(E_i, E_j) for every ordered pair."""
-    n = len(coll.bundles)
-    return [
-        [ext_table(coll.setup, coll.bundles[i], coll.bundles[j]).dims[0] for j in range(n)]
-        for i in range(n)
-    ]
 
 
 # -- built-in collections -------------------------------------------------
@@ -158,17 +152,28 @@ def builtin_collection(name: str) -> Collection:
 
 
 def collection_from_obj(obj: dict) -> Collection:
-    if "preset" in obj and obj["preset"] is not None:
-        cartan = get_preset(obj["preset"])
-        preset = obj["preset"]
-    else:
+    """Build a collection from a collection.json object; ValueError if malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a collection must be a JSON object, got {obj!r}")
+    preset = obj.get("preset")
+    if preset is not None:
+        if not isinstance(preset, str):
+            raise ValueError(f"preset must be a string, got {preset!r}")
+        cartan = get_preset(preset)
+    elif "cartan" in obj:
         cartan = cartan_from_obj(obj["cartan"])
-        preset = None
-    rs = RootSystem(cartan)
-    setup = make_setup(rs, int(obj["crossed"]))
-    bundles = tuple(tuple(int(x) for x in b["weight"]) for b in obj["bundles"])
-    blocks = tuple(int(x) for x in obj["blocks"]) if obj.get("blocks") else None
-    return Collection(str(obj.get("name", "collection")), setup, bundles, preset, blocks)
+    else:
+        raise ValueError("a collection needs a preset or a cartan matrix")
+    bundles = obj.get("bundles")
+    if not isinstance(bundles, list):
+        raise ValueError(f"bundles must be a list, got {bundles!r}")
+    for b in bundles:
+        if not isinstance(b, dict):
+            raise ValueError(f"each bundle must be an object with a weight, got {b!r}")
+    weights = tuple(tuple(as_int_list(b.get("weight"), "a bundle weight")) for b in bundles)
+    setup = make_setup(RootSystem(cartan), as_int(obj.get("crossed"), "crossed"))
+    blocks = tuple(as_int_list(obj["blocks"], "blocks")) if obj.get("blocks") else None
+    return Collection(str(obj.get("name", "collection")), setup, weights, preset, blocks)
 
 
 def load_collection(path: str) -> Collection:
@@ -188,20 +193,21 @@ def collection_to_obj(coll: Collection) -> dict:
     return obj
 
 
-def _table_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:
+def ext_table_to_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:
+    """One entry per degree 0..dim X, in the shape of ext-table.json."""
     rs = setup.rs
-    from .lie_core import Subsystem
-
     full = Subsystem.full(rs.rank)
-    out = []
-    for k in range(table.dim_x + 1):
-        entry: dict = {"degree": k, "dim": table.dims[k], "weights": []}
-        for w, m in table.weights[k]:
-            entry["weights"].append(
+    return [
+        {
+            "degree": k,
+            "dim": table.dims[k],
+            "weights": [
                 {"weight": list(w), "dual": list(rs.dual_dominant(full, w)), "mult": m}
-            )
-        out.append(entry)
-    return out
+                for w, m in table.weights[k]
+            ],
+        }
+        for k in range(table.dim_x + 1)
+    ]
 
 
 def report_to_obj(report: VerificationReport, include_timing: bool = False) -> dict:
@@ -221,7 +227,7 @@ def report_to_obj(report: VerificationReport, include_timing: bool = False) -> d
         "tables": [
             {
                 "pair": [i + 1, j + 1],
-                "table": _table_obj(coll.setup, report.table_for(i + 1, j + 1)),
+                "table": ext_table_to_obj(coll.setup, report.table_for(i + 1, j + 1)),
             }
             for i in range(n)
             for j in range(n)
@@ -240,10 +246,11 @@ def render_report_text(report: VerificationReport) -> str:
     coll = report.collection
     n = len(coll.bundles)
     lines = [
-        f"collection {coll.name}: {n} bundles, {report.pairs_checked} ordered pairs, "
-        f"verdict {report.verdict.upper()} ({report.elapsed_seconds:.2f}s)"
+        f"{coll.name}: {n} bundles, {report.pairs_checked} pairs, "
+        f"{len(report.violations)} violation(s), verdict {report.verdict.upper()} "
+        f"({report.elapsed_seconds:.2f}s)",
+        "",
     ]
-    lines.append("")
     lines.append("Hom matrix (dim Hom(E_row, E_col)):")
     hom = [[report.table_for(i + 1, j + 1).dims[0] for j in range(n)] for i in range(n)]
     width = max(len(str(x)) for row in hom for x in row)

@@ -15,12 +15,10 @@ from weylbott.characters import (
     char_scale,
     char_sub,
     char_twist,
-    clear_cache,
     decompose,
     from_components,
     irrep_character,
     power_op,
-    set_cache_enabled,
     weyl_dim,
     weyl_orbit,
 )
@@ -141,18 +139,18 @@ def test_weyl_orbit_sizes(e6, e6_full, e6_levi):
     assert weyl_orbit(e6, e6_full, ZERO6) == [ZERO6]
 
 
-def test_cache_toggle(e6, e6_full):
-    clear_cache()
-    a = irrep_character(e6, e6_full, W[0])
-    set_cache_enabled(False)
-    try:
-        b = irrep_character(e6, e6_full, W[0])
-    finally:
-        set_cache_enabled(True)
-    assert a == b
+def test_cache_toggle():
+    """A cold and a warm per-root-system memo agree; results are private copies."""
+    rs = RootSystem(get_preset("E6-paper"))
+    full = Subsystem.full(6)
+    assert rs.char_memo == {}  # a fresh root system is cold
+    a = irrep_character(rs, full, W[0])
+    assert set(rs.char_memo) == {(full.nodes, W[0])}
+    b = irrep_character(rs, full, W[0])
+    assert a == b == irrep_character(RootSystem(get_preset("E6-paper")), full, W[0])
     # returned dicts are private copies: mutating one must not leak
     a[ZERO6] = 99
-    assert irrep_character(e6, e6_full, W[0]) != a
+    assert irrep_character(rs, full, W[0]) == b != a
 
 
 # -- ring operations --------------------------------------------------------------

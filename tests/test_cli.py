@@ -244,17 +244,19 @@ def test_exit_missing_file(capsys):
     assert code == 2
 
 
-def test_no_cache_gives_same_output(capsys):
-    code1, out1, _ = run(capsys, "char", "--weight=0,0,0,1,0,0")
-    code2, out2, _ = run(capsys, "char", "--weight=0,0,0,1,0,0", "--no-cache")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-def test_cache_restored_after_run(capsys):
-    from weylbott.characters import _cache_enabled
-
-    run(capsys, "char", "--weight=0,0,0,0,0,1", "--no-cache")
-    from weylbott import characters
-
-    assert characters._cache_enabled is True
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"preset": "E6-paper", "crossed": 1, "bundles": [{"weight": None}]},
+        {"cartan": {"rank": 2, "entries": 5}, "crossed": 1, "bundles": [{"weight": [0, 0]}]},
+        {"preset": "E6-paper", "crossed": 1, "bundles": []},
+    ],
+    ids=["null-weight", "scalar-entries", "no-bundles"],
+)
+def test_malformed_collection_is_usage_error(capsys, tmp_path, obj):
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,10 +1,15 @@
 """Parabolic geometry: twists, first Chern class, Levi tensor and branching."""
 
+import os
 import random
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import weylbott
 from weylbott import RootSystem, get_preset
 from weylbott.characters import char_mul, decompose, irrep_character, weyl_dim
 from weylbott.errors import NotDominant
@@ -209,3 +214,37 @@ def test_branch_rank_bookkeeping(cayley, e6, e6_full):
     for lam in [W[1], (1, 0, 0, 0, 0, 1)]:
         comps = branch(cayley, lam)
         assert graded_rank(cayley, comps) == weyl_dim(e6, e6_full, lam)
+
+
+# An off-by-one weyl_dim must still trip the rank bookkeeping in levi_tensor
+# when asserts are stripped.
+_FAULT_UNDER_O = """
+import sys
+import weylbott.parabolic as parabolic
+from weylbott import EngineError, RootSystem, get_preset
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+true_dim = parabolic.weyl_dim
+parabolic.weyl_dim = lambda rs, sub, lam: true_dim(rs, sub, lam) + 1
+setup = parabolic.make_setup(RootSystem(get_preset("E6-paper")), 1)
+try:
+    parabolic.levi_tensor(setup, (-1, 0, 0, 0, 0, 1), (-1, 0, 0, 0, 0, 1))
+except EngineError as exc:
+    print(exc)
+else:
+    sys.exit("levi_tensor accepted a wrong rank")
+"""
+
+
+def test_levi_tensor_invariants_survive_python_O():
+    src = str(Path(weylbott.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAULT_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "rank bookkeeping failed" in proc.stdout

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from weylbott import RootSystem, get_preset
+from weylbott.bbw import ext_table
 from weylbott.parabolic import make_setup
 from weylbott.verify import (
     Collection,
@@ -12,7 +13,6 @@ from weylbott.verify import (
     builtin_collection,
     collection_from_obj,
     collection_to_obj,
-    hom_matrix,
     load_collection,
     render_report_text,
     report_to_json,
@@ -127,18 +127,27 @@ def test_unknown_builtin():
 
 
 def test_hom_matrix_values(cayley):
-    coll = Collection("pair", cayley, (S_DUAL, ZERO6))
-    assert hom_matrix(coll) == [[1, 27], [0, 1]]
+    report = verify_strong_exceptional(Collection("pair", cayley, (S_DUAL, ZERO6)))
+    hom = [[report.table_for(i, j).dims[0] for j in (1, 2)] for i in (1, 2)]
+    assert hom == [[1, 27], [0, 1]]
 
 
-# -- determinism and parallelism ----------------------------------------------------
+# -- determinism ---------------------------------------------------------------------
 
 
-def test_parallel_report_identical():
+def test_report_deterministic_across_memo_states():
     coll = builtin_collection("kapranovQ7")
-    serial = verify_strong_exceptional(coll, jobs=1)
-    parallel = verify_strong_exceptional(coll, jobs=4)
-    assert report_to_json(serial) == report_to_json(parallel)
+    rs = coll.setup.rs
+    assert rs.char_memo == {}
+    cold = report_to_json(verify_strong_exceptional(coll))
+    assert rs.char_memo == {}  # a finished run leaves no characters behind
+    for a in coll.bundles:
+        for b in coll.bundles:
+            ext_table(coll.setup, a, b)
+    assert rs.char_memo
+    warm = report_to_json(verify_strong_exceptional(coll))
+    fresh = report_to_json(verify_strong_exceptional(builtin_collection("kapranovQ7")))
+    assert cold == warm == fresh
 
 
 def test_timing_excluded_by_default():
