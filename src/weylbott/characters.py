@@ -8,7 +8,6 @@ Newton's identities, with exact division as a built-in integrality check.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from typing import Iterable
 
 from .errors import (
@@ -16,7 +15,6 @@ from .errors import (
     GuardrailExceeded,
     NonIntegralPlethysm,
     NotDecomposable,
-    NotDominant,
 )
 from .lie_core import RootSystem, Subsystem, Weight
 
@@ -32,19 +30,12 @@ def _guard(size: int) -> None:
         raise GuardrailExceeded(f"character support {size} exceeds bound {MAX_SUPPORT}")
 
 
-def _require_dominant(rs: RootSystem, sub: Subsystem, lam: Weight) -> Weight:
-    lam = rs.check_rank(lam)
-    if not rs.is_dominant(sub, lam):
-        raise NotDominant(f"{lam} is not dominant on nodes {sorted(sub.nodes)}")
-    return lam
-
-
 # -- dimensions and orbits ---------------------------------------------
 
 
 def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam, by the Weyl product."""
-    lam = _require_dominant(rs, sub, lam)
+    lam = rs.require_dominant(sub, lam)
     num = 1
     den = 1
     for r in rs.sub_positive_roots(sub):
@@ -123,7 +114,7 @@ def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weight, in
 
 def irrep_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> Character:
     """Full character of the irreducible with highest weight lam; a private copy."""
-    lam = _require_dominant(rs, sub, lam)
+    lam = rs.require_dominant(sub, lam)
     key = (sub.nodes, lam)
     out = rs.char_memo.get(key)
     if out is None:
@@ -257,22 +248,13 @@ def decompose(
     multiplicity must be positive.
     """
     work = {w: m for w, m in c.items() if m}
-    heights: dict[Weight, Q] = {}
-
-    def key(w: Weight):
-        h = heights.get(w)
-        if h is None:
-            h = rs.height_of(w)
-            heights[w] = h
-        return (h, w)
-
     out: list[tuple[Weight, int]] = []
     budget = 10 * len(work) + 1000
     while work:
         budget -= 1
         if budget < 0:
             raise NotDecomposable("decomposition did not terminate; input is not finite-dimensional")
-        mu = max(work, key=key)
+        mu = max(work, key=rs.sort_key)
         m = work[mu]
         if not rs.is_dominant(sub, mu):
             raise NotDecomposable(f"maximal weight {mu} is not dominant on nodes {sorted(sub.nodes)}")
@@ -285,7 +267,7 @@ def decompose(
             else:
                 work.pop(w, None)
         out.append((mu, m))
-    out.sort(key=lambda t: key(t[0]))
+    out.sort(key=lambda t: rs.sort_key(t[0]))
     return out
 
 

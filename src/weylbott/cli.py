@@ -33,6 +33,7 @@ from .parabolic import (
 )
 from .presets import get_preset, load_cartan, preset_names
 from .verify import (
+    BUILTIN_COLLECTIONS,
     builtin_collection,
     ext_table_to_obj,
     load_collection,
@@ -162,18 +163,16 @@ def _cmd_ext(args) -> int:
 
 def _cmd_verify(args) -> int:
     target = args.target
-    if target is not None:
-        if target.endswith(".json") or os.path.sep in target or os.path.exists(target):
-            coll = load_collection(target)
-        else:
-            coll = builtin_collection(target)
-    elif args.collection_file:
-        coll = load_collection(args.collection_file)
+    # A built-in name wins over a file of that name in the working directory.
+    if target not in BUILTIN_COLLECTIONS and (
+        target.endswith(".json") or os.path.sep in target or os.path.exists(target)
+    ):
+        coll = load_collection(target)
     else:
-        coll = builtin_collection(args.collection)
+        coll = builtin_collection(target)
     report = verify_strong_exceptional(coll)
     if args.format == "json":
-        print(report_to_json(report, include_timing=args.timing))
+        print(report_to_json(report))
     else:
         print(render_report_text(report))
     return 0 if report.verdict == "pass" else 1
@@ -255,12 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "target",
         nargs="?",
-        help="built-in collection name or path to a collection JSON file",
+        default="cayley27",
+        help="built-in collection name or path to a collection JSON file (default: cayley27)",
     )
-    p.add_argument("--collection", default="cayley27", help="built-in collection name")
-    p.add_argument("--collection-file", help="path to a collection JSON file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--timing", action="store_true", help="include elapsed time in JSON output")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ledger", help="check an identity ledger")

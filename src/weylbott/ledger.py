@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .characters import (
     Character,
@@ -35,7 +35,6 @@ from .characters import (
     char_dual,
     char_mul,
     char_scale,
-    char_sub,
     char_twist,
     decompose,
     irrep_character,
@@ -44,7 +43,6 @@ from .characters import (
 from .errors import NotDecomposable, ParseError
 from .lie_core import Subsystem, Weight
 from .parabolic import ParabolicSetup, bundle_char
-from .presets import get_preset
 
 GRADED_NOTE = (
     "identities are checked at character (Grothendieck-group) level; "
@@ -371,13 +369,11 @@ class CheckResult:
 
 
 def check_identity(setup: ParabolicSetup, ident: Identity) -> CheckResult:
-    if ident.kind == "iso":
-        diff = char_sub(eval_expr(setup, ident.terms[0]), eval_expr(setup, ident.terms[1]))
-    else:
-        diff = {}
-        for idx, term in enumerate(ident.terms):
-            sign = 1 if idx % 2 == 0 else -1
-            diff = char_add(diff, char_scale(eval_expr(setup, term), sign))
+    """Alternating sum of the terms; for an isomorphism that is t0 - t1."""
+    diff: Character = {}
+    for idx, term in enumerate(ident.terms):
+        sign = 1 if idx % 2 == 0 else -1
+        diff = char_add(diff, char_scale(eval_expr(setup, term), sign))
     comps: Optional[tuple[tuple[Weight, int], ...]] = None
     if diff:
         try:
@@ -490,10 +486,7 @@ _BUILTIN: tuple[tuple[str, str, tuple[str, ...]], ...] = (
 
 def builtin_ledger() -> list[Identity]:
     """The shipped identity list for the E6-paper setup with node 1 crossed."""
-    return [
-        Identity(name, kind, tuple(parse_expr(t) for t in terms))
-        for name, kind, terms in _BUILTIN
-    ]
+    return identities_from_obj(builtin_ledger_obj())
 
 
 def builtin_ledger_obj() -> list[dict]:
@@ -504,19 +497,19 @@ def builtin_ledger_obj() -> list[dict]:
 
 
 def identities_from_obj(data: list) -> list[Identity]:
+    """Identities from a ledger.json list; ValueError if it is malformed."""
+    if not isinstance(data, list):
+        raise ValueError(f"a ledger must be a list of identities, got {data!r}")
     out = []
     for item in data:
-        for key in ("name", "kind", "terms"):
-            if key not in item:
-                raise ValueError(f"identity entry is missing required key '{key}'")
-        kind = str(item["kind"]).lower()
-        out.append(
-            Identity(
-                str(item["name"]),
-                kind,
-                tuple(parse_expr(t) for t in item["terms"]),
-            )
-        )
+        if not isinstance(item, dict):
+            raise ValueError(f"each identity must be an object, got {item!r}")
+        name, kind, terms = item.get("name"), item.get("kind"), item.get("terms")
+        if not isinstance(name, str) or not isinstance(kind, str):
+            raise ValueError(f"an identity needs a string name and kind, got {item!r}")
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise ValueError(f"terms of {name!r} must be a list of strings, got {terms!r}")
+        out.append(Identity(name, kind.lower(), tuple(parse_expr(t) for t in terms)))
     return out
 
 

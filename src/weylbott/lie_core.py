@@ -8,12 +8,13 @@ tests are all integer arithmetic on tuples.  Nodes are numbered 1..n.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Optional
 
-from .errors import NotDominant, NotFiniteType
+from .errors import EngineError, NotDominant, NotFiniteType
 
 Weight = tuple[int, ...]
 
@@ -57,8 +58,8 @@ class CartanMatrix:
         return tuple(self.entries[i][j - 1] for i in range(self.rank))
 
 
-def _symmetrizer(cartan: CartanMatrix) -> tuple[Q, ...]:
-    """Positive rationals d with d_i * a_ij symmetric, by graph propagation.
+def _symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
+    """Coprime positive integers d with d_i * a_ij symmetric, by graph propagation.
 
     Raises NotFiniteType when no consistent choice exists.
     """
@@ -82,27 +83,16 @@ def _symmetrizer(cartan: CartanMatrix) -> tuple[Q, ...]:
                     queue.append(j)
                 elif d[j] != want:
                     raise NotFiniteType("Cartan matrix is not symmetrizable")
-    lcm = 1
-    for x in d:
-        assert x is not None
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    scaled = tuple(x * lcm for x in d)  # type: ignore[operator]
-    g = 0
-    for x in scaled:
-        g = _gcd(g, int(x))
-    return tuple(x / g for x in scaled)
+    lcm = math.lcm(*(x.denominator for x in d))
+    scaled = [int(x * lcm) for x in d]
+    g = math.gcd(*scaled)
+    return tuple(x // g for x in scaled)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _is_positive_definite(cartan: CartanMatrix, d: tuple[Q, ...]) -> bool:
+def _is_positive_definite(cartan: CartanMatrix, d: tuple[int, ...]) -> bool:
     """Sylvester criterion for the symmetrized matrix, in exact arithmetic."""
     n = cartan.rank
-    m = [[d[i] * cartan.entries[i][j] for j in range(n)] for i in range(n)]
+    m = [[Q(d[i] * cartan.entries[i][j]) for j in range(n)] for i in range(n)]
     # Fraction Gaussian elimination; all leading pivots must stay positive.
     for k in range(n):
         if m[k][k] <= 0:
@@ -151,32 +141,32 @@ class Subsystem:
 class RootSystem:
     """Positive roots and Weyl-group operations for a finite-type Cartan matrix."""
 
-    def __init__(self, cartan: CartanMatrix, max_roots: int = MAX_POSITIVE_ROOTS):
+    def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan
         self.rank = cartan.rank
-        d = _symmetrizer(cartan)
-        if not _is_positive_definite(cartan, d):
+        self.symmetrizer_int: tuple[int, ...] = _symmetrizer(cartan)
+        if not _is_positive_definite(cartan, self.symmetrizer_int):
             raise NotFiniteType("symmetrized Cartan matrix is not positive definite")
-        lcm = 1
-        for x in d:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        self.symmetrizer_int: tuple[int, ...] = tuple(int(x * lcm) for x in d)
         self.rho: Weight = (1,) * self.rank
         # Sparse columns: for node i (1-based), the nonzero (j0, a_j0i) pairs.
         self._columns: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((j, cartan.entries[j][i]) for j in range(self.rank) if cartan.entries[j][i] != 0)
             for i in range(self.rank)
         )
-        self.positive_roots: tuple[PositiveRoot, ...] = self._generate(max_roots)
+        self.positive_roots: tuple[PositiveRoot, ...] = self._generate()
+        # 2 rho^vee, the sum of the positive coroots: <alpha_i, 2 rho^vee> = 2
+        # for every simple root, so <lam, 2 rho^vee> is twice the height of lam.
+        self.two_rho_vee: Weight = tuple(
+            sum(col) for col in zip(*(r.coroot for r in self.positive_roots))
+        )
         self._sub_roots: dict[frozenset[int], tuple[PositiveRoot, ...]] = {}
-        self._height_vec: Optional[tuple[Q, ...]] = None
         # Irreducible characters by (sub.nodes, highest weight), filled by
         # characters.irrep_character; a fresh root system starts cold.
         self.char_memo: dict[tuple[frozenset[int], Weight], dict[Weight, int]] = {}
 
     # -- construction -------------------------------------------------
 
-    def _generate(self, max_roots: int) -> tuple[PositiveRoot, ...]:
+    def _generate(self) -> tuple[PositiveRoot, ...]:
         n = self.rank
         seen: dict[Weight, Weight] = {}
         queue: deque[Weight] = deque()
@@ -203,7 +193,7 @@ class RootSystem:
                     new_weight[j0] -= c * a
                 seen[new_coords] = tuple(new_weight)
                 queue.append(new_coords)
-                if len(seen) > max_roots:
+                if len(seen) > MAX_POSITIVE_ROOTS:
                     raise NotFiniteType("positive-root closure exceeded the safety bound")
         roots = []
         for coords, weight in seen.items():
@@ -212,14 +202,15 @@ class RootSystem:
         return tuple(roots)
 
     def _coroot(self, coords: Weight, weight: Weight) -> Weight:
+        """alpha^vee = 2 alpha / (alpha, alpha) in the simple coroots."""
         d = self.symmetrizer_int
-        half_norm = Q(sum(c * di * w for c, di, w in zip(coords, d, weight)), 2)
+        norm = sum(c * di * w for c, di, w in zip(coords, d, weight))
         out = []
         for c, di in zip(coords, d):
-            e = Q(c * di) / half_norm
-            if e.denominator != 1:
-                raise AssertionError("coroot functional must be integral")
-            out.append(int(e))
+            e, rem = divmod(2 * c * di, norm)
+            if rem:
+                raise EngineError(f"coroot of the root {coords} is not integral")
+            out.append(e)
         return tuple(out)
 
     # -- subsystem plumbing -------------------------------------------
@@ -244,6 +235,13 @@ class RootSystem:
         lam = tuple(int(x) for x in lam)
         if len(lam) != self.rank:
             raise ValueError(f"weight has length {len(lam)}, expected {self.rank}")
+        return lam
+
+    def require_dominant(self, sub: Subsystem, lam: Weight) -> Weight:
+        """lam as a weight of this rank; NotDominant unless dominant on sub."""
+        lam = self.check_rank(lam)
+        if not self.is_dominant(sub, lam):
+            raise NotDominant(f"{lam} is not dominant on nodes {sorted(sub.nodes)}")
         return lam
 
     # -- Weyl-group operations ----------------------------------------
@@ -293,36 +291,14 @@ class RootSystem:
 
     def dual_dominant(self, sub: Subsystem, lam: Weight) -> Weight:
         """Highest weight of the dual: dominant representative of -lam."""
-        if not self.is_dominant(sub, lam):
-            raise NotDominant(f"{lam} is not dominant for nodes {sorted(sub.nodes)}")
+        lam = self.require_dominant(sub, lam)
         return self.make_dominant(sub, tuple(-x for x in lam))[1]
 
     # -- orderings ----------------------------------------------------
 
-    def height_vector(self) -> tuple[Q, ...]:
-        """Row vector h with h . lam = sum of simple-root coordinates of lam."""
-        if self._height_vec is None:
-            n = self.rank
-            a = [[Q(self.cartan.entries[i][j]) for j in range(n)] for i in range(n)]
-            rhs = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-            for k in range(n):
-                piv = next(i for i in range(k, n) if a[i][k] != 0)
-                a[k], a[piv] = a[piv], a[k]
-                rhs[k], rhs[piv] = rhs[piv], rhs[k]
-                inv = 1 / a[k][k]
-                a[k] = [x * inv for x in a[k]]
-                rhs[k] = [x * inv for x in rhs[k]]
-                for i in range(n):
-                    if i != k and a[i][k] != 0:
-                        f = a[i][k]
-                        a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                        rhs[i] = [x - f * y for x, y in zip(rhs[i], rhs[k])]
-            self._height_vec = tuple(sum(rhs[i][j] for i in range(n)) for j in range(n))
-        return self._height_vec
+    def height_of(self, lam: Weight) -> int:
+        """<lam, 2 rho^vee>: twice the sum of simple-root coordinates of lam."""
+        return sum(h * x for h, x in zip(self.two_rho_vee, lam))
 
-    def height_of(self, lam: Weight) -> Q:
-        """Sum of simple-root coordinates of lam (rational for non-root weights)."""
-        return sum(h * x for h, x in zip(self.height_vector(), lam))
-
-    def sort_key(self, lam: Weight):
+    def sort_key(self, lam: Weight) -> tuple[int, Weight]:
         return (self.height_of(lam), lam)

@@ -9,15 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import (
-    Character,
-    char_add,
-    char_scale,
-    decompose,
-    irrep_character,
-    weyl_dim,
-)
-from .errors import EngineError, NotDominant
+from .characters import Character, decompose, irrep_character, weyl_dim
+from .errors import EngineError
 from .lie_core import RootSystem, Subsystem, Weight
 
 # A direct sum of irreducible bundles, canonically ordered.
@@ -44,12 +37,7 @@ def make_setup(rs: RootSystem, crossed: int) -> ParabolicSetup:
 
 
 def check_bundle(setup: ParabolicSetup, w: Weight) -> Weight:
-    w = setup.rs.check_rank(w)
-    if not setup.rs.is_dominant(setup.levi, w):
-        raise NotDominant(
-            f"{w} is not dominant on the Levi nodes {sorted(setup.levi.nodes)}"
-        )
-    return w
+    return setup.rs.require_dominant(setup.levi, w)
 
 
 def bundle_rank(setup: ParabolicSetup, w: Weight) -> int:
@@ -95,11 +83,10 @@ def levi_tensor(setup: ParabolicSetup, a: Weight, b: Weight) -> GradedBundle:
         a, b = b, a
     acc: dict[Weight, int] = {}
     for nu, m in bundle_char(setup, a).items():
-        shifted = tuple(x + y + 1 for x, y in zip(b, nu))
-        count, dom = rs.make_dominant(sub, shifted)
-        if any(dom[i - 1] == 0 for i in sub.nodes):
+        res = rs.dotted_to_dominant(sub, tuple(x + y for x, y in zip(b, nu)))
+        if res is None:
             continue
-        w = tuple(x - 1 for x in dom)
+        count, w = res
         n = acc.get(w, 0) + (m if count % 2 == 0 else -m)
         if n:
             acc[w] = n
@@ -121,19 +108,9 @@ def branch(setup: ParabolicSetup, lam: Weight) -> GradedBundle:
     irreducibles changes, which is exactly a decomposition over the Levi.
     """
     rs = setup.rs
-    lam = rs.check_rank(lam)
     full = Subsystem.full(rs.rank)
-    if not rs.is_dominant(full, lam):
-        raise NotDominant(f"{lam} is not dominant for the full system")
-    ch = irrep_character(rs, full, lam)
+    ch = irrep_character(rs, full, rs.require_dominant(full, lam))
     return decompose(rs, setup.levi, ch)
-
-
-def graded_char(setup: ParabolicSetup, graded: GradedBundle) -> Character:
-    acc: Character = {}
-    for w, m in graded:
-        acc = char_add(acc, char_scale(bundle_char(setup, w), m))
-    return acc
 
 
 def graded_rank(setup: ParabolicSetup, graded: GradedBundle) -> int:

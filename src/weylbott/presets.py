@@ -7,7 +7,6 @@ to node 3; "E6-bourbaki" is the textbook order, kept for comparison.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .lie_core import CartanMatrix
 
@@ -85,10 +84,3 @@ def load_cartan(path: str) -> CartanMatrix:
 
 def cartan_to_obj(cartan: CartanMatrix) -> dict:
     return {"rank": cartan.rank, "entries": [list(row) for row in cartan.entries]}
-
-
-def resolve_cartan(spec: Union[str, dict]) -> CartanMatrix:
-    """Accept a preset name or a Cartan-matrix JSON object."""
-    if isinstance(spec, str):
-        return get_preset(spec)
-    return cartan_from_obj(spec)

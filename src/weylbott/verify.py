@@ -113,6 +113,9 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
 # -- built-in collections -------------------------------------------------
 
 
+BUILTIN_COLLECTIONS = ("cayley27", "kapranovQ7")
+
+
 def builtin_collection(name: str) -> Collection:
     if name == "cayley27":
         rs = RootSystem(get_preset("E6-paper"))
@@ -145,7 +148,9 @@ def builtin_collection(name: str) -> Collection:
             twist(setup, o, 11),
         ]
         return Collection("kapranovQ7", setup, tuple(bundles), "B4", (7, 1))
-    raise ValueError(f"unknown built-in collection {name!r}; available: cayley27, kapranovQ7")
+    raise ValueError(
+        f"unknown built-in collection {name!r}; available: {', '.join(BUILTIN_COLLECTIONS)}"
+    )
 
 
 # -- JSON in/out ------------------------------------------------------------
@@ -210,10 +215,11 @@ def ext_table_to_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:
     ]
 
 
-def report_to_obj(report: VerificationReport, include_timing: bool = False) -> dict:
+def report_to_obj(report: VerificationReport) -> dict:
+    """The canonical certificate; it never carries the elapsed time."""
     coll = report.collection
     n = len(coll.bundles)
-    obj: dict = {
+    return {
         "collection": collection_to_obj(coll),
         "dim_x": coll.setup.dim_x,
         "index": coll.setup.index,
@@ -233,13 +239,10 @@ def report_to_obj(report: VerificationReport, include_timing: bool = False) -> d
             for j in range(n)
         ],
     }
-    if include_timing:
-        obj["elapsed_seconds"] = report.elapsed_seconds
-    return obj
 
 
-def report_to_json(report: VerificationReport, include_timing: bool = False) -> str:
-    return json.dumps(report_to_obj(report, include_timing), sort_keys=True, indent=2)
+def report_to_json(report: VerificationReport) -> str:
+    return json.dumps(report_to_obj(report), sort_keys=True, indent=2)
 
 
 def render_report_text(report: VerificationReport) -> str:

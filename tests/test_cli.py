@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes and schema conformance."""
 
+import hashlib
 import importlib.resources
 import json
 
@@ -126,18 +127,32 @@ def test_ext_json_schema(capsys, registry):
 
 
 def test_verify_json_schema(capsys, registry):
-    code, obj = run_json(capsys, "verify", "--collection", "kapranovQ7")
+    code, obj = run_json(capsys, "verify", "kapranovQ7")
     assert code == 0
     validate(obj, "report.json", registry)
     assert obj["verdict"] == "pass"
     assert "elapsed_seconds" not in obj
 
 
-def test_verify_timing_flag(capsys, registry):
-    code, obj = run_json(capsys, "verify", "--collection", "kapranovQ7", "--timing")
-    assert code == 0
-    validate(obj, "report.json", registry)
-    assert "elapsed_seconds" in obj
+# sha256 of stdout, trailing newline included; any change to a certificate
+# or to the ledger report must show up here.
+GOLDEN_STDOUT = [
+    (("verify", "cayley27", "--format", "json"),
+     "fcc14580a7a3526c51cbee35c13e83f269ffe5596fe0f5e22932b63982f6657d"),
+    (("verify", "kapranovQ7", "--format", "json"),
+     "2ddbfaee1da15a2bae12106b88cde730578cbd9446800513bfe2789b7a6c19e4"),
+    (("ledger", "--format", "json"),
+     "b2dee6645de1d9af6a5fa588220e687237e23d28b6a8c85cdeb0588b9a89d2e9"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_STDOUT, ids=["verify-cayley27", "verify-kapranovQ7", "ledger"]
+)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_ledger_json_schema(capsys, registry):
@@ -163,7 +178,10 @@ def test_collection_obj_schema(registry):
 # -- files and failure paths ------------------------------------------------------
 
 
-def test_verify_positional_target(capsys, tmp_path):
+def test_verify_positional_target(capsys, tmp_path, monkeypatch):
+    # a built-in name is not shadowed by an entry of that name in the cwd
+    (tmp_path / "kapranovQ7").mkdir()
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "verify", "kapranovQ7")
     assert code == 0
     first = out.splitlines()[0]
@@ -192,7 +210,7 @@ def test_verify_collection_file(capsys, tmp_path):
     obj.pop("blocks", None)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "verify", "--collection-file", str(path))
+    code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "verdict FAIL" in out
 
@@ -240,7 +258,7 @@ def test_exit_engine_error(capsys):
 
 
 def test_exit_missing_file(capsys):
-    code, _, err = run(capsys, "verify", "--collection-file", "/nonexistent.json")
+    code, _, err = run(capsys, "verify", "/nonexistent.json")
     assert code == 2
 
 
@@ -257,6 +275,24 @@ def test_malformed_collection_is_usage_error(capsys, tmp_path, obj):
     path = tmp_path / "coll.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [{"name": "x", "kind": "iso", "terms": None}],
+        [5],
+        [{"name": "x", "kind": "iso", "terms": [5, "O"]}],
+    ],
+    ids=["null-terms", "scalar-entry", "integer-term"],
+)
+def test_malformed_ledger_is_usage_error(capsys, tmp_path, obj):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "ledger", "--ledger-file", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -59,6 +59,25 @@ def test_levi_root_count(e6, e6_levi):
     assert len(crossed) + 20 == 36
 
 
+# -- the weight order --------------------------------------------------------
+
+G2 = CartanMatrix.from_rows([[2, -1], [-3, 2]])
+A1_A2 = CartanMatrix.from_rows([[2, 0, 0], [0, 2, -1], [0, -1, 2]])
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [get_preset(name) for name in preset_names()] + [G2, A1_A2],
+    ids=preset_names() + ["G2", "A1xA2"],
+)
+def test_height_of_is_twice_the_height(cartan):
+    # heights from simple-root coordinates, a route that never reads a coroot
+    rs = RootSystem(cartan)
+    for r in rs.positive_roots:
+        assert rs.height_of(r.weight) == 2 * r.height
+    assert rs.height_of(rs.rho) == sum(r.height for r in rs.positive_roots)
+
+
 def test_not_finite_type_rejected():
     affine = CartanMatrix.from_rows([[2, -2], [-2, 2]])
     with pytest.raises(NotFiniteType):

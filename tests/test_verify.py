@@ -155,7 +155,7 @@ def test_timing_excluded_by_default():
     report = verify_strong_exceptional(coll)
     obj = report_to_obj(report)
     assert "elapsed_seconds" not in obj
-    assert "elapsed_seconds" in report_to_obj(report, include_timing=True)
+    assert "elapsed_seconds" not in report_to_json(report)
 
 
 # -- serialization -------------------------------------------------------------------
