@@ -99,7 +99,6 @@ def cohomology_graded(setup: ParabolicSetup, graded: GradedBundle) -> ExtTable:
     for w, mult in graded:
         res = cohomology(setup, w)
         if not res.is_zero:
-            assert res.degree is not None and res.g_weight is not None
             table.add(res.degree, res.g_weight, res.dim, mult)
     return table
 

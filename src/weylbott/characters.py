@@ -64,13 +64,28 @@ def weyl_orbit(rs: RootSystem, sub: Subsystem, lam: Weight) -> list[Weight]:
     return sorted(seen)
 
 
+def orbit_size(rs: RootSystem, sub: Subsystem, nu: Weight) -> int:
+    """|W_sub . nu| for a sub-dominant nu. |W| is the product of (ht a + 1) / ht a
+    over the positive roots a, and the stabilizer of nu is the Weyl group of the
+    roots with <nu, a^vee> = 0, so the orbit is the same product over the others."""
+    num = den = 1
+    for r in rs.sub_positive_roots(sub):
+        if sum(e * x for e, x in zip(r.coroot, nu)):
+            num *= r.height + 1
+            den *= r.height
+    return num // den
+
+
 def _dominant_weights(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weight, Weight]:
-    """Sub-dominant weights of the irrep, mapped to root coordinates of lam - mu."""
+    """Sub-dominant weights of the irrep, mapped to root coordinates of lam - mu;
+    the support, the sum of their orbits, is bounded before any multiplicity."""
     roots = rs.sub_positive_roots(sub)
     zero = (0,) * rs.rank
     found: dict[Weight, Weight] = {lam: zero}
+    support = orbit_size(rs, sub, lam)
     queue = [lam]
     while queue:
+        _guard(support)
         mu = queue.pop()
         off = found[mu]
         for r in roots:
@@ -78,15 +93,15 @@ def _dominant_weights(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weigh
             if nu in found or not rs.is_dominant(sub, nu):
                 continue
             found[nu] = tuple(x + y for x, y in zip(off, r.simple_coords))
+            support += orbit_size(rs, sub, nu)
             queue.append(nu)
     return found
 
 
-def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weight, int]:
-    """Multiplicities of the sub-dominant weights of the irrep with highest weight lam."""
+def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight, dom: dict) -> dict[Weight, int]:
+    """Multiplicities of the sub-dominant weights dom of the irrep with highest weight lam."""
     roots = rs.sub_positive_roots(sub)
     d = rs.symmetrizer_int
-    dom = _dominant_weights(rs, sub, lam)
     order = sorted(dom, key=lambda w: (sum(dom[w]), w))
     mults: dict[Weight, int] = {lam: 1}
     for nu in order:
@@ -119,15 +134,19 @@ def irrep_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> Character:
     out = rs.char_memo.get(key)
     if out is None:
         out = {}
-        for nu, m in _freudenthal(rs, sub, lam).items():
+        for nu, m in _freudenthal(rs, sub, lam, _dominant_weights(rs, sub, lam)).items():
             for w in weyl_orbit(rs, sub, nu):
                 out[w] = m
-            _guard(len(out))
         rs.char_memo[key] = out
     return dict(out)
 
 
 # -- ring operations ----------------------------------------------------
+
+
+def weight_mults_obj(pairs: Iterable[tuple[Weight, int]]) -> list[dict]:
+    """[{"weight": [...], "mult": m}, ...] in the given order (character.json)."""
+    return [{"weight": list(w), "mult": m} for w, m in pairs]
 
 
 def char_dim(c: Character) -> int:

@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from .bbw import cohomology, ext_table
-from .characters import char_dim, irrep_character, weyl_dim
+from .characters import char_dim, irrep_character, weight_mults_obj, weyl_dim
 from .errors import EngineError
 from .ledger import (
     builtin_ledger,
@@ -24,14 +24,8 @@ from .ledger import (
     render_ledger_text,
 )
 from .lie_core import RootSystem, Subsystem, Weight
-from .parabolic import (
-    ParabolicSetup,
-    branch,
-    bundle_c1,
-    levi_tensor,
-    make_setup,
-)
-from .presets import get_preset, load_cartan, preset_names
+from .parabolic import ParabolicSetup, branch, bundle_c1, levi_tensor, make_setup
+from .presets import PRESETS, get_preset, load_cartan, preset_names
 from .verify import (
     BUILTIN_COLLECTIONS,
     builtin_collection,
@@ -53,33 +47,43 @@ def _parse_weight(text: str) -> Weight:
         raise ValueError(f"weight must be comma-separated integers, got {text!r}") from None
 
 
-def _build_root_system(args) -> RootSystem:
-    if args.cartan:
-        return RootSystem(load_cartan(args.cartan))
-    return RootSystem(get_preset(args.preset))
+def _names_file(name: str, builtins) -> bool:
+    """A built-in name wins over a file of that name in the working directory;
+    otherwise a .json suffix, a path separator or an existing path means a file."""
+    return name not in builtins and (
+        name.endswith(".json") or os.path.sep in name or os.path.exists(name)
+    )
 
 
-def _setup_or_full(args) -> tuple[RootSystem, Optional[ParabolicSetup], Subsystem]:
-    rs = _build_root_system(args)
-    if getattr(args, "crossed", None):
-        setup = make_setup(rs, args.crossed)
-        return rs, setup, setup.levi
-    return rs, None, Subsystem.full(rs.rank)
+def _root_system(args) -> RootSystem:
+    name = args.preset
+    return RootSystem(load_cartan(name) if _names_file(name, PRESETS) else get_preset(name))
 
 
-def _char_obj(c: dict) -> list[dict]:
-    return [{"weight": list(w), "mult": m} for w, m in sorted(c.items())]
+def _subsystem(args) -> tuple[RootSystem, Subsystem]:
+    """The full system unless --crossed names a node, then its Levi."""
+    rs = _root_system(args)
+    if args.crossed is None:
+        return rs, Subsystem.full(rs.rank)
+    return rs, Subsystem.levi(rs.rank, args.crossed)
 
 
-def _graded_obj(graded) -> list[dict]:
-    return [{"weight": list(w), "mult": m} for w, m in graded]
+def _setup(args) -> ParabolicSetup:
+    return make_setup(_root_system(args), args.crossed)
+
+
+def _write(text: str) -> None:
+    """The one write to stdout. A reader that closes the pipe early does not change
+    the exit code: stdout goes to the null device, so the final flush stays quiet."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit(args, obj, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(text)
+    _write(json.dumps(obj, sort_keys=True, indent=2) if args.format == "json" else text)
 
 
 def _cmd_presets(args) -> int:
@@ -88,50 +92,47 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    rs, _, sub = _setup_or_full(args)
+    rs, sub = _subsystem(args)
     d = weyl_dim(rs, sub, _parse_weight(args.weight))
     _emit(args, {"dim": d}, str(d))
     return 0
 
 
 def _cmd_char(args) -> int:
-    rs, _, sub = _setup_or_full(args)
+    rs, sub = _subsystem(args)
     ch = irrep_character(rs, sub, _parse_weight(args.weight))
-    text = "\n".join(f"{list(w)}: {m}" for w, m in sorted(ch.items()))
-    _emit(args, _char_obj(ch), f"{text}\ntotal {char_dim(ch)}")
+    items = sorted(ch.items())
+    text = "\n".join(f"{list(w)}: {m}" for w, m in items)
+    _emit(args, weight_mults_obj(items), f"{text}\ntotal {char_dim(ch)}")
     return 0
 
 
 def _cmd_c1(args) -> int:
-    rs, setup, _ = _setup_or_full(args)
-    c = bundle_c1(setup, _parse_weight(args.weight))
+    c = bundle_c1(_setup(args), _parse_weight(args.weight))
     _emit(args, {"c1": c}, str(c))
     return 0
 
 
 def _cmd_tensor(args) -> int:
-    rs, setup, _ = _setup_or_full(args)
-    comps = levi_tensor(setup, _parse_weight(args.weight), _parse_weight(args.weight2))
-    text = "\n".join(f"{list(w)} x {m}" for w, m in comps)
-    _emit(args, _graded_obj(comps), text)
+    comps = levi_tensor(_setup(args), _parse_weight(args.weight), _parse_weight(args.weight2))
+    _emit(args, weight_mults_obj(comps), "\n".join(f"{list(w)} x {m}" for w, m in comps))
     return 0
 
 
 def _cmd_branch(args) -> int:
-    rs, setup, _ = _setup_or_full(args)
-    comps = branch(setup, _parse_weight(args.weight))
-    text = "\n".join(f"{list(w)} x {m}" for w, m in comps)
-    _emit(args, _graded_obj(comps), text)
+    comps = branch(_setup(args), _parse_weight(args.weight))
+    _emit(args, weight_mults_obj(comps), "\n".join(f"{list(w)} x {m}" for w, m in comps))
     return 0
 
 
 def _cmd_cohomology(args) -> int:
-    rs, setup, _ = _setup_or_full(args)
+    setup = _setup(args)
     res = cohomology(setup, _parse_weight(args.weight))
     if res.is_zero:
         obj = {"degree": None, "weight": None, "dual": None, "dim": 0}
         text = "zero"
     else:
+        rs = setup.rs
         dual = rs.dual_dominant(Subsystem.full(rs.rank), res.g_weight)
         obj = {
             "degree": res.degree,
@@ -148,45 +149,34 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_ext(args) -> int:
-    rs, setup, _ = _setup_or_full(args)
+    setup = _setup(args)
     table = ext_table(setup, _parse_weight(args.weight), _parse_weight(args.weight2))
     lines = []
-    for k in range(table.dim_x + 1):
-        if table.dims[k] or args.all_degrees:
-            ws = ", ".join(f"{list(w)} x {m}" for w, m in table.weights[k]) or "-"
-            lines.append(f"Ext^{k}: dim {table.dims[k]}  [{ws}]")
-    if not lines:
-        lines.append("all degrees vanish")
-    _emit(args, ext_table_to_obj(setup, table), "\n".join(lines))
+    for k in table.nonzero_degrees():
+        ws = ", ".join(f"{list(w)} x {m}" for w, m in table.weights[k])
+        lines.append(f"Ext^{k}: dim {table.dims[k]}  [{ws}]")
+    _emit(args, ext_table_to_obj(setup, table), "\n".join(lines) or "all degrees vanish")
     return 0
 
 
 def _cmd_verify(args) -> int:
     target = args.target
-    # A built-in name wins over a file of that name in the working directory.
-    if target not in BUILTIN_COLLECTIONS and (
-        target.endswith(".json") or os.path.sep in target or os.path.exists(target)
-    ):
+    if _names_file(target, BUILTIN_COLLECTIONS):
         coll = load_collection(target)
     else:
         coll = builtin_collection(target)
     report = verify_strong_exceptional(coll)
-    if args.format == "json":
-        print(report_to_json(report))
-    else:
-        print(render_report_text(report))
+    _write(report_to_json(report) if args.format == "json" else render_report_text(report))
     return 0 if report.verdict == "pass" else 1
 
 
 def _cmd_ledger(args) -> int:
-    rs, setup, _ = _setup_or_full(args)
+    setup = _setup(args)
     identities = load_ledger(args.ledger_file) if args.ledger_file else builtin_ledger()
     results = check_ledger(setup, identities)
-    if args.format == "json":
-        print(json.dumps(ledger_report_obj(results), sort_keys=True, indent=2))
-    else:
-        print(render_ledger_text(results))
-    return 0 if all(r.passed for r in results) else 1
+    obj = ledger_report_obj(results)
+    _emit(args, obj, render_ledger_text(results))
+    return 0 if obj["verdict"] == "pass" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,14 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, crossed_required=False, crossed_default=None):
-        p.add_argument("--preset", default="E6-paper", help="named Cartan matrix")
-        p.add_argument("--cartan", help="path to a Cartan matrix JSON file (overrides --preset)")
+    def common(p, crossed_default=None):
+        p.add_argument(
+            "--preset",
+            default="E6-paper",
+            help="named Cartan matrix or path to a Cartan matrix JSON file",
+        )
         p.add_argument(
             "--crossed",
             type=int,
             default=crossed_default,
-            required=crossed_required,
             help="crossed node (1-based); omit to work with the full system",
         )
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -223,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_char)
 
     p = sub.add_parser("c1", help="first Chern class of a bundle")
-    common(p, crossed_required=False, crossed_default=1)
+    common(p, crossed_default=1)
     p.add_argument("--weight", required=True)
     p.set_defaults(func=_cmd_c1)
 
@@ -247,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, crossed_default=1)
     p.add_argument("--weight", required=True)
     p.add_argument("--weight2", required=True)
-    p.add_argument("--all-degrees", action="store_true", help="print vanishing degrees too")
     p.set_defaults(func=_cmd_ext)
 
     p = sub.add_parser("verify", help="certify strong exceptionality of a collection")
@@ -271,12 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse turns "--opt=--" into an empty list
+        parser.error("an option was given '--' as its value")
     try:
         return args.func(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ENGINE_ERROR
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -39,6 +39,7 @@ from .characters import (
     decompose,
     irrep_character,
     power_op,
+    weight_mults_obj,
 )
 from .errors import NotDecomposable, ParseError
 from .lie_core import Subsystem, Weight
@@ -541,13 +542,9 @@ def ledger_report_obj(results: list[CheckResult]) -> dict:
                 "name": r.name,
                 "kind": r.kind,
                 "passed": r.passed,
-                "difference": [
-                    {"weight": list(w), "mult": m} for w, m in sorted(r.difference.items())
-                ],
+                "difference": weight_mults_obj(sorted(r.difference.items())),
                 "difference_components": (
-                    [{"weight": list(w), "mult": m} for w, m in r.diff_components]
-                    if r.diff_components is not None
-                    else None
+                    None if r.diff_components is None else weight_mults_obj(r.diff_components)
                 ),
             }
             for r in results

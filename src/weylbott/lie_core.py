@@ -18,9 +18,6 @@ from .errors import EngineError, NotDominant, NotFiniteType
 
 Weight = tuple[int, ...]
 
-# Safety stop for root generation; every finite type we handle is far below.
-MAX_POSITIVE_ROOTS = 1000
-
 
 @dataclass(frozen=True)
 class CartanMatrix:
@@ -168,6 +165,10 @@ class RootSystem:
 
     def _generate(self) -> tuple[PositiveRoot, ...]:
         n = self.rank
+        # Safety stop: a connected finite type of rank k has at most k^2 positive
+        # roots, or k^2 + 14, 56, 8, 2 for E7, E8, F4, G2; components add, and the
+        # cross terms of n^2 cover any second exceptional component.
+        max_roots = n * n + 56
         seen: dict[Weight, Weight] = {}
         queue: deque[Weight] = deque()
         for j in range(n):
@@ -193,7 +194,7 @@ class RootSystem:
                     new_weight[j0] -= c * a
                 seen[new_coords] = tuple(new_weight)
                 queue.append(new_coords)
-                if len(seen) > MAX_POSITIVE_ROOTS:
+                if len(seen) > max_roots:
                     raise NotFiniteType("positive-root closure exceeded the safety bound")
         roots = []
         for coords, weight in seen.items():

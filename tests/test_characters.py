@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import weylbott.characters as characters
 from weylbott import RootSystem, Subsystem, get_preset
 from weylbott.characters import (
     MAX_SUPPORT,
@@ -18,6 +19,7 @@ from weylbott.characters import (
     decompose,
     from_components,
     irrep_character,
+    orbit_size,
     power_op,
     weyl_dim,
     weyl_orbit,
@@ -182,6 +184,41 @@ def test_guardrail(e6):
     with pytest.raises(GuardrailExceeded):
         char_mul(big, {(0, 1, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0, 0): 1})
     assert len(big) > MAX_SUPPORT  # the input itself was over the line
+
+
+@pytest.mark.parametrize(
+    "preset,crossed,lam",
+    [
+        ("E6-paper", None, (0, 0, 0, 0, 0, 1)),
+        ("E6-paper", None, (0, 0, 0, 1, 0, 0)),
+        ("E6-paper", None, (1, 0, 0, 0, 0, 1)),
+        ("E6-paper", 1, (-1, 0, 0, 0, 0, 2)),
+        ("E6-paper", 1, (3, 0, 1, 0, 0, 1)),
+        ("B4", None, (1, 1, 0, 1)),
+        ("B4", None, (0, 0, 1, 2)),
+        ("B4", 1, (0, 2, 0, 1)),
+    ],
+)
+def test_support_from_orbit_sizes(preset, crossed, lam):
+    # the support the guardrail bounds is the support Freudenthal then builds
+    rs = RootSystem(get_preset(preset))
+    sub = Subsystem.full(rs.rank) if crossed is None else Subsystem.levi(rs.rank, crossed)
+    dom = characters._dominant_weights(rs, sub, lam)
+    ch = irrep_character(rs, sub, lam)
+    assert sum(orbit_size(rs, sub, nu) for nu in dom) == len(ch)
+    for nu in dom:
+        assert orbit_size(rs, sub, nu) == len(weyl_orbit(rs, sub, nu))
+
+
+def test_guardrail_fires_before_freudenthal(monkeypatch):
+    def no_freudenthal(*args):
+        raise AssertionError("Freudenthal ran on an input over the support bound")
+
+    monkeypatch.setattr(characters, "_freudenthal", no_freudenthal)
+    rs = RootSystem(get_preset("E6-paper"))
+    with pytest.raises(GuardrailExceeded):
+        irrep_character(rs, Subsystem.full(6), (12, 0, 0, 0, 0, 0))
+    assert not rs.char_memo
 
 
 # -- plethysms ----------------------------------------------------------------------

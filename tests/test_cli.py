@@ -1,13 +1,23 @@
 """Command-line interface: outputs, exit codes and schema conformance."""
 
+import contextlib
 import hashlib
 import importlib.resources
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 
+import weylbott
 from weylbott.cli import main
+from weylbott.presets import get_preset, preset_names
 
 SCHEMA_FILES = [
     "cartan.json",
@@ -118,7 +128,7 @@ def test_cohomology_json_schema(capsys, registry):
 
 def test_ext_json_schema(capsys, registry):
     code, obj = run_json(
-        capsys, "ext", "--weight=0,0,0,0,0,0", "--weight2=1,0,0,0,0,0", "--all-degrees"
+        capsys, "ext", "--weight=0,0,0,0,0,0", "--weight2=1,0,0,0,0,0"
     )
     assert code == 0
     validate(obj, "ext-table.json", registry)
@@ -228,27 +238,65 @@ def test_ledger_file(capsys, tmp_path):
     assert "FAIL  broken" in out
 
 
-def test_cartan_file(capsys, tmp_path):
+def test_cartan_file(capsys, tmp_path, monkeypatch):
     path = tmp_path / "g2like.json"
     path.write_text(json.dumps({"rank": 2, "entries": [[2, -1], [-3, 2]]}))
-    code, out, _ = run(capsys, "dim", "--cartan", str(path), "--weight=1,0")
+    code, out, _ = run(capsys, "dim", "--preset", str(path), "--weight=1,0")
     assert code == 0
     assert out.strip() == "14"
-    code, out, _ = run(capsys, "dim", "--cartan", str(path), "--weight=0,1")
+    code, out, _ = run(capsys, "dim", "--preset", str(path), "--weight=0,1")
     assert code == 0
     assert out.strip() == "7"
+    # a built-in name is not shadowed by a file of that name in the cwd
+    (tmp_path / "A2").write_text(path.read_text())
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "dim", "--preset", "A2", "--weight=1,0")
+    assert code == 0
+    assert out.strip() == "3"
+
+
+def test_cartan_file_type_a46(capsys, tmp_path):
+    # 1081 positive roots: past the old fixed stop of 1000, below 46^2 + 56
+    n = 46
+    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    path = tmp_path / "a46.json"
+    path.write_text(json.dumps({"rank": n, "entries": rows}))
+    weight = ",".join(["1"] + ["0"] * (n - 1))
+    code, out, _ = run(capsys, "dim", "--preset", str(path), f"--weight={weight}")
+    assert code == 0
+    assert out.strip() == "47"
 
 
 # -- exit codes ----------------------------------------------------------------------
 
+BUNDLE_ARGS = {
+    "dim": ("--weight=0,0,0,0,0,0",),
+    "char": ("--weight=0,0,0,0,0,0",),
+    "c1": ("--weight=0,0,0,0,0,0",),
+    "tensor": ("--weight=0,0,0,0,0,0", "--weight2=0,0,0,0,0,0"),
+    "branch": ("--weight=0,0,0,0,0,0",),
+    "cohomology": ("--weight=0,0,0,0,0,0",),
+    "ext": ("--weight=0,0,0,0,0,0", "--weight2=0,0,0,0,0,0"),
+    "ledger": (),
+}
 
-def test_exit_usage_error(capsys):
-    code, _, err = run(capsys, "dim", "--weight=1,0", "--preset", "NOPE")
+USAGE_ERRORS = [
+    (("dim", "--weight=1,0", "--preset", "NOPE"), "unknown preset"),
+    (("dim", "--weight=1,0,0"), "length"),
+] + [((cmd, "--crossed", "0") + rest, "crossed node 0") for cmd, rest in BUNDLE_ARGS.items()]
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    USAGE_ERRORS,
+    ids=["unknown-preset", "weight-length"] + [f"crossed-0-{cmd}" for cmd in BUNDLE_ARGS],
+)
+def test_exit_usage_error(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "unknown preset" in err
-    code, _, err = run(capsys, "dim", "--weight=1,0,0")
-    assert code == 2
-    assert "length" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
 
 
 def test_exit_engine_error(capsys):
@@ -296,3 +344,85 @@ def test_malformed_ledger_is_usage_error(capsys, tmp_path, obj):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_keeps_exit_code():
+    # the certificate is larger than a pipe buffer, so the write meets the
+    # closed pipe while the command is still printing
+    src = str(Path(weylbott.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "weylbott.cli", "verify", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert head == b'{\n  "colle'
+    assert code == 0
+    assert err == b""
+
+
+# -- random and malformed inputs ---------------------------------------------------
+
+FORMATS = st.sampled_from([(), ("--format", "json"), ("--format", "text")])
+JUNK = st.text(alphabet="ab ,.-+x", max_size=6)  # no digit, so never a weight
+
+
+def weights(rank, low, high):
+    """A weight of the preset's rank or of any length 0..7, or junk text."""
+    length = st.one_of(st.just(rank), st.integers(0, 7))
+    coords = length.flatmap(lambda n: st.lists(st.integers(low, high), min_size=n, max_size=n))
+    return st.one_of(coords.map(lambda w: ",".join(map(str, w))), JUNK)
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(["presets", "verify", *BUNDLE_ARGS]))
+    if cmd == "presets":
+        return [cmd, *draw(FORMATS)]
+    if cmd == "verify":
+        return [cmd, draw(st.sampled_from(["kapranovQ7", "nosuch"])), *draw(FORMATS)]
+    preset = draw(st.sampled_from([*preset_names(), "NOPE"]))
+    rank = get_preset(preset).rank if preset != "NOPE" else 6
+    argv = [cmd, "--preset", preset]
+    crossed = draw(st.none() | st.integers(-2, 8))
+    if crossed is not None:
+        argv += ["--crossed", str(crossed)]
+    # A command that expands a character slows down quickly as the weight grows,
+    # though it stays under the guardrail: a Levi character of E6 at
+    # (0,2,2,2,2,2) takes about 2 s, a full one at (0,1,1,1,1,0) minutes.
+    if cmd in ("char", "branch"):
+        weight = weights(rank, 0, 1).filter(lambda text: text.count("1") <= 2)
+    elif cmd in ("c1", "tensor", "ext"):
+        weight = weights(rank, -2, 1)
+    else:
+        weight = weights(rank, -2, 2)
+    if cmd != "ledger":
+        argv.append(f"--weight={draw(weight)}")
+    if cmd in ("tensor", "ext"):
+        argv.append(f"--weight2={draw(weight)}")
+    return argv + list(draw(FORMATS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cli_argv())
+@example(["tensor", "--preset", "E6-paper", "--crossed", "0",
+          "--weight=0,0,0,0,0,0", "--weight2=0,0,0,0,0,0"])
+def test_cli_inputs_end_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        assert exc.code == 2
+        return
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert argv[0] in ("verify", "ledger")
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

@@ -26,6 +26,21 @@ def test_positive_root_counts(preset, count):
     assert len(rs.positive_roots) == count
 
 
+def test_root_generation_stop_follows_the_rank():
+    # A_46 has 1081 positive roots, more than any fixed stop of 1000 allowed;
+    # E8 x A1 (rank 9, 121 roots) is more than the 120 a max(n^2, 120) stop allows
+    n = 46
+    a46 = CartanMatrix.from_rows(
+        [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    )
+    assert len(RootSystem(a46).positive_roots) == n * (n + 1) // 2 == 1081
+    e8_edges = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+    rows = [[2 if i == j else 0 for j in range(9)] for i in range(9)]
+    for i, j in e8_edges:
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = -1
+    assert len(RootSystem(CartanMatrix.from_rows(rows)).positive_roots) == 120 + 1
+
+
 def test_simple_roots_are_cartan_columns(e6):
     cartan = get_preset("E6-paper")
     simples = [r for r in e6.positive_roots if r.height == 1]

@@ -1,5 +1,6 @@
 """Parabolic geometry: twists, first Chern class, Levi tensor and branching."""
 
+import ast
 import os
 import random
 import subprocess
@@ -248,3 +249,13 @@ def test_levi_tensor_invariants_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "rank bookkeeping failed" in proc.stdout
+
+
+def test_no_assert_in_src():
+    # engine invariants are explicit errors, which python -O keeps
+    found = []
+    for path in sorted(Path(weylbott.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
