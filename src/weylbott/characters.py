@@ -177,6 +177,8 @@ def char_sub(a: Character, b: Character) -> Character:
 def char_mul(a: Character, b: Character) -> Character:
     if len(a) > len(b):
         a, b = b, a
+    if a:
+        _guard(len(b))  # the first row is b shifted by one weight
     out: Character = {}
     for wa, ma in a.items():
         for wb, mb in b.items():
@@ -222,8 +224,6 @@ def _rank_of(c: Character) -> int:
 
 def power_op(c: Character, k: int, kind: str) -> Character:
     """Wedge or symmetric power via Newton's identities on Adams operations."""
-    if kind == "adams":
-        return adams(c, k)
     if kind not in ("wedge", "sym"):
         raise ValueError(f"unknown power operation {kind!r}")
     if k < 0:

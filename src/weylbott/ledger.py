@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import Callable, Optional
 
 from .characters import (
     Character,
@@ -51,65 +52,45 @@ GRADED_NOTE = (
 )
 
 
-# -- syntax trees ------------------------------------------------------------
+# -- evaluators ----------------------------------------------------------------
+
+# A parsed expression is its evaluator: the character of the expression
+# over the Levi weight lattice of a setup.
+Evaluator = Callable[[ParabolicSetup], Character]
 
 
-class Expr:
-    __slots__ = ()
+def _irr(weight: Weight) -> Evaluator:
+    return lambda setup: bundle_char(setup, weight)
 
 
-@dataclass(frozen=True)
-class Irr(Expr):
-    weight: Weight
+def _rep(weight: Weight) -> Evaluator:
+    return lambda setup: irrep_character(
+        setup.rs, Subsystem.full(setup.rs.rank), setup.rs.check_rank(weight)
+    )
 
 
-@dataclass(frozen=True)
-class Rep(Expr):
-    weight: Weight
+def _triv(setup: ParabolicSetup) -> Character:
+    return {(0,) * setup.rs.rank: 1}
 
 
-@dataclass(frozen=True)
-class Triv(Expr):
-    pass
+def _twist(e: Evaluator, t: int) -> Evaluator:
+    return lambda setup: char_twist(e(setup), setup.crossed, t)
 
 
-@dataclass(frozen=True)
-class Twist(Expr):
-    inner: Expr
-    t: int
+def _dual(e: Evaluator) -> Evaluator:
+    return lambda setup: char_dual(e(setup))
 
 
-@dataclass(frozen=True)
-class Dual(Expr):
-    inner: Expr
+def _tensor(a: Evaluator, b: Evaluator) -> Evaluator:
+    return lambda setup: char_mul(a(setup), b(setup))
 
 
-@dataclass(frozen=True)
-class Gr(Expr):
-    inner: Expr
+def _oplus(terms: list[Evaluator]) -> Evaluator:
+    return lambda setup: reduce(char_add, (t(setup) for t in terms), {})
 
 
-@dataclass(frozen=True)
-class Tensor(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Oplus(Expr):
-    terms: tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class Wedge(Expr):
-    k: int
-    inner: Expr
-
-
-@dataclass(frozen=True)
-class Sym(Expr):
-    k: int
-    inner: Expr
+def _power(e: Evaluator, k: int, kind: str) -> Evaluator:
+    return lambda setup: power_op(e(setup), k, kind)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -140,7 +121,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -159,28 +139,28 @@ class _Parser:
             raise ParseError(offset, f"'{value}'")
         self.next()
 
-    def parse(self) -> Expr:
+    def parse(self) -> Evaluator:
         e = self.expr()
         kind, _, offset = self.peek()
         if kind != "end":
             raise ParseError(offset, "end of input")
         return e
 
-    def expr(self) -> Expr:
+    def expr(self) -> Evaluator:
         terms = [self.term()]
         while self.peek()[1] == "+":
             self.next()
             terms.append(self.term())
-        return terms[0] if len(terms) == 1 else Oplus(tuple(terms))
+        return terms[0] if len(terms) == 1 else _oplus(terms)
 
-    def term(self) -> Expr:
+    def term(self) -> Evaluator:
         e = self.atom()
         while self.peek()[1] == "*":
             self.next()
-            e = Tensor(e, self.atom())
+            e = _tensor(e, self.atom())
         return e
 
-    def atom(self) -> Expr:
+    def atom(self) -> Evaluator:
         e = self.primary()
         # A parenthesized integer right after a primary is a twist.
         while (
@@ -191,7 +171,7 @@ class _Parser:
             self.next()
             t = int(self.next()[1])
             self.next()
-            e = Twist(e, t)
+            e = _twist(e, t)
         return e
 
     def weight_list(self) -> Weight:
@@ -220,124 +200,42 @@ class _Parser:
         self.next()
         return int(val)
 
-    def primary(self) -> Expr:
+    def group(self) -> Evaluator:
+        self.expect("(")
+        e = self.expr()
+        self.expect(")")
+        return e
+
+    def primary(self) -> Evaluator:
         kind, val, offset = self.peek()
-        if kind == "name":
-            if val == "E":
-                self.next()
-                return Irr(self.weight_list())
-            if val == "V":
-                self.next()
-                return Rep(self.weight_list())
-            if val == "O":
-                self.next()
-                return Triv()
-            if val == "wedge":
-                self.next()
-                k = self.power()
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return Wedge(k, inner)
-            if val == "sym":
-                self.next()
-                k = self.power()
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return Sym(k, inner)
-            if val == "dual":
-                self.next()
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return Dual(inner)
-            if val == "gr":
-                self.next()
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return Gr(inner)
-            raise ParseError(offset, "one of E, V, O, wedge, sym, dual, gr")
         if val == "(":
-            self.next()
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise ParseError(offset, "an expression")
+            return self.group()
+        if kind != "name":
+            raise ParseError(offset, "an expression")
+        if val not in ("E", "V", "O", "wedge", "sym", "dual", "gr"):
+            raise ParseError(offset, "one of E, V, O, wedge, sym, dual, gr")
+        self.next()
+        if val == "E":
+            return _irr(self.weight_list())
+        if val == "V":
+            return _rep(self.weight_list())
+        if val == "O":
+            return _triv
+        if val == "dual":
+            return _dual(self.group())
+        if val == "gr":
+            return self.group()  # the associated graded has the same character
+        k = self.power()
+        return _power(self.group(), k, val)
 
 
-def parse_expr(text: str) -> Expr:
+def parse_expr(text: str) -> Evaluator:
     return _Parser(text).parse()
 
 
-# -- serialization ------------------------------------------------------------
-
-
-def to_text(expr: Expr) -> str:
-    """Round-trippable canonical text: parse(to_text(e)) evaluates like e."""
-    if isinstance(expr, Irr):
-        return "E[" + ",".join(str(x) for x in expr.weight) + "]"
-    if isinstance(expr, Rep):
-        return "V[" + ",".join(str(x) for x in expr.weight) + "]"
-    if isinstance(expr, Triv):
-        return "O"
-    if isinstance(expr, Twist):
-        inner = to_text(expr.inner)
-        if isinstance(expr.inner, (Tensor, Oplus, Twist)):
-            inner = f"({inner})"
-        return f"{inner}({expr.t})"
-    if isinstance(expr, Dual):
-        return f"dual({to_text(expr.inner)})"
-    if isinstance(expr, Gr):
-        return f"gr({to_text(expr.inner)})"
-    if isinstance(expr, Wedge):
-        return f"wedge^{expr.k}({to_text(expr.inner)})"
-    if isinstance(expr, Sym):
-        return f"sym^{expr.k}({to_text(expr.inner)})"
-    if isinstance(expr, Tensor):
-        parts = []
-        for side in (expr.left, expr.right):
-            text = to_text(side)
-            if isinstance(side, Oplus):
-                text = f"({text})"
-            parts.append(text)
-        return " * ".join(parts)
-    if isinstance(expr, Oplus):
-        return " + ".join(to_text(t) for t in expr.terms)
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-# -- evaluation ----------------------------------------------------------------
-
-
-def eval_expr(setup: ParabolicSetup, expr: Expr) -> Character:
+def eval_expr(setup: ParabolicSetup, expr: Evaluator) -> Character:
     """Character of the expression over the Levi weight lattice."""
-    rs = setup.rs
-    if isinstance(expr, Irr):
-        return bundle_char(setup, expr.weight)
-    if isinstance(expr, Rep):
-        return irrep_character(rs, Subsystem.full(rs.rank), rs.check_rank(expr.weight))
-    if isinstance(expr, Triv):
-        return {(0,) * rs.rank: 1}
-    if isinstance(expr, Twist):
-        return char_twist(eval_expr(setup, expr.inner), setup.crossed, expr.t)
-    if isinstance(expr, Dual):
-        return char_dual(eval_expr(setup, expr.inner))
-    if isinstance(expr, Gr):
-        return eval_expr(setup, expr.inner)
-    if isinstance(expr, Tensor):
-        return char_mul(eval_expr(setup, expr.left), eval_expr(setup, expr.right))
-    if isinstance(expr, Oplus):
-        acc: Character = {}
-        for t in expr.terms:
-            acc = char_add(acc, eval_expr(setup, t))
-        return acc
-    if isinstance(expr, Wedge):
-        return power_op(eval_expr(setup, expr.inner), expr.k, "wedge")
-    if isinstance(expr, Sym):
-        return power_op(eval_expr(setup, expr.inner), expr.k, "sym")
-    raise TypeError(f"unknown expression node {expr!r}")
+    return expr(setup)
 
 
 # -- identities -----------------------------------------------------------------
@@ -345,13 +243,19 @@ def eval_expr(setup: ParabolicSetup, expr: Expr) -> Character:
 
 @dataclass(frozen=True)
 class Identity:
-    """Either an isomorphism (two terms) or an exact sequence (any length)."""
+    """Either an isomorphism (two terms) or an exact sequence (any length).
+
+    The terms are kept as source text and compiled once, here, so that a
+    syntax error in a ledger surfaces before any term is evaluated.
+    """
 
     name: str
     kind: str  # "iso" | "exactseq"
-    terms: tuple[Expr, ...]
+    terms: tuple[str, ...]
+    evaluators: tuple[Evaluator, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "evaluators", tuple(parse_expr(t) for t in self.terms))
         if self.kind not in ("iso", "exactseq"):
             raise ValueError(f"kind must be iso or exactseq, got {self.kind!r}")
         if self.kind == "iso" and len(self.terms) != 2:
@@ -372,7 +276,7 @@ class CheckResult:
 def check_identity(setup: ParabolicSetup, ident: Identity) -> CheckResult:
     """Alternating sum of the terms; for an isomorphism that is t0 - t1."""
     diff: Character = {}
-    for idx, term in enumerate(ident.terms):
+    for idx, term in enumerate(ident.evaluators):
         sign = 1 if idx % 2 == 0 else -1
         diff = char_add(diff, char_scale(eval_expr(setup, term), sign))
     comps: Optional[tuple[tuple[Weight, int], ...]] = None
@@ -510,7 +414,7 @@ def identities_from_obj(data: list) -> list[Identity]:
             raise ValueError(f"an identity needs a string name and kind, got {item!r}")
         if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
             raise ValueError(f"terms of {name!r} must be a list of strings, got {terms!r}")
-        out.append(Identity(name, kind.lower(), tuple(parse_expr(t) for t in terms)))
+        out.append(Identity(name, kind.lower(), tuple(terms)))
     return out
 
 
@@ -523,7 +427,7 @@ def identity_to_obj(ident: Identity) -> dict:
     return {
         "name": ident.name,
         "kind": ident.kind,
-        "terms": [to_text(t) for t in ident.terms],
+        "terms": list(ident.terms),
     }
 
 

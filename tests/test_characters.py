@@ -228,7 +228,7 @@ def test_adams_basics(e6, e6_levi):
     s = irrep_character(e6, e6_levi, W[5])
     assert adams(s, 1) == s
     assert char_dim(adams(s, 3)) == 10
-    assert power_op(s, 2, "adams") == {tuple(2 * x for x in w): m for w, m in s.items()}
+    assert adams(s, 2) == {tuple(2 * x for x in w): m for w, m in s.items()}
 
 
 def test_power_op_degenerate_cases(e6, e6_levi):

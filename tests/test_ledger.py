@@ -4,20 +4,13 @@ import json
 
 import pytest
 
+from weylbott import ledger
+from weylbott.characters import char_dual, irrep_character, power_op
+from weylbott.cli import main
 from weylbott.errors import ParseError
 from weylbott.ledger import (
-    Dual,
-    Gr,
-    Identity,
-    Irr,
-    Oplus,
-    Rep,
-    Sym,
-    Tensor,
-    Triv,
-    Twist,
-    Wedge,
     GRADED_NOTE,
+    Identity,
     builtin_ledger,
     builtin_ledger_obj,
     check_identity,
@@ -29,8 +22,8 @@ from weylbott.ledger import (
     load_ledger,
     parse_expr,
     render_ledger_text,
-    to_text,
 )
+from weylbott.lie_core import Subsystem
 from weylbott.parabolic import bundle_char
 
 ZERO6 = (0,) * 6
@@ -40,22 +33,35 @@ S = (0, 0, 0, 0, 0, 1)
 # -- parsing ------------------------------------------------------------------
 
 
-def test_parse_primaries():
-    assert parse_expr("O") == Triv()
-    assert parse_expr("E[1,0,0,0,0,0]") == Irr((1, 0, 0, 0, 0, 0))
-    assert parse_expr("V[ -1 , 2 ]") == Rep((-1, 2))
-    assert parse_expr("dual(O)") == Dual(Triv())
-    assert parse_expr("gr(O)") == Gr(Triv())
-    assert parse_expr("wedge^2(O)") == Wedge(2, Triv())
-    assert parse_expr("sym^3(O)") == Sym(3, Triv())
+def line(t):
+    return {(t, 0, 0, 0, 0, 0): 1}
 
 
-def test_parse_twist_and_precedence():
-    assert parse_expr("O(3)") == Twist(Triv(), 3)
-    assert parse_expr("O(-2)(5)") == Twist(Twist(Triv(), -2), 5)
+def ev(setup, text):
+    return eval_expr(setup, parse_expr(text))
+
+
+def test_parse_primaries(cayley):
+    s = bundle_char(cayley, S)
+    assert ev(cayley, "O") == {ZERO6: 1}
+    assert ev(cayley, "E[1,0,0,0,0,0]") == bundle_char(cayley, (1, 0, 0, 0, 0, 0))
+    assert ev(cayley, "V[ 1 , 0,0,0, 0,0 ]") == irrep_character(
+        cayley.rs, Subsystem.full(6), (1, 0, 0, 0, 0, 0)
+    )
+    assert ev(cayley, "dual(E[0,0,0,0,0,1])") == char_dual(s)
+    assert ev(cayley, "gr(E[0,0,0,0,0,1])") == s
+    assert ev(cayley, "wedge^2(E[0,0,0,0,0,1])") == power_op(s, 2, "wedge")
+    assert ev(cayley, "sym^3(E[0,0,0,0,0,1])") == power_op(s, 3, "sym")
+
+
+def test_parse_twist_and_precedence(cayley):
+    assert ev(cayley, "O(3)") == line(3)
+    assert ev(cayley, "O(-2)(5)") == line(3)
+    assert ev(cayley, "(O + O(1))(2)") == {**line(2), **line(3)}
     # '*' binds tighter than '+'
-    assert parse_expr("O + O * O") == Oplus((Triv(), Tensor(Triv(), Triv())))
-    assert parse_expr("(O + O) * O") == Tensor(Oplus((Triv(), Triv())), Triv())
+    assert ev(cayley, "O(1) + O(2) * O(3)") == {**line(1), **line(5)}
+    assert ev(cayley, "(O(1) + O(2)) * O(3)") == {**line(4), **line(5)}
+    assert ev(cayley, "O(1) * O + O(3)(1)") == {**line(1), **line(4)}
 
 
 def test_parse_twist_requires_integer():
@@ -85,36 +91,11 @@ def test_parse_errors_carry_position_and_expectation():
     assert info.value.expected == "end of input"
 
 
-def test_to_text_round_trip():
-    samples = [
-        "O",
-        "O(3)",
-        "E[-1,0,0,0,0,1]",
-        "dual(E[0,0,0,0,0,1])",
-        "wedge^2(E[0,0,0,1,0,0])",
-        "sym^3(E[0,0,0,0,0,1])",
-        "(O + O(1)) * E[0,0,0,0,0,1]",
-        "gr(E[0,1,0,0,0,0] * E[0,0,0,0,0,1](-1))",
-        "V[1,0,0,0,0,0] * O",
-        "(O * O)(2)",
-        "E[0,0,0,0,0,1](-1)(2)",
-    ]
-    for text in samples:
-        e = parse_expr(text)
-        assert parse_expr(to_text(e)) == e
-
-
-def test_builtin_terms_round_trip():
-    for ident in builtin_ledger():
-        for term in ident.terms:
-            assert parse_expr(to_text(term)) == term
-
-
 # -- evaluation ----------------------------------------------------------------
 
 
 def test_eval_primaries(cayley):
-    assert eval_expr(cayley, Triv()) == {ZERO6: 1}
+    assert eval_expr(cayley, parse_expr("O")) == {ZERO6: 1}
     assert eval_expr(cayley, parse_expr("E[0,0,0,0,0,1]")) == bundle_char(cayley, S)
     assert sum(eval_expr(cayley, parse_expr("V[1,0,0,0,0,0]")).values()) == 27
 
@@ -141,19 +122,17 @@ def test_eval_sum_and_tensor(cayley):
 
 
 def test_identity_arity_validation():
-    t = (Triv(), Triv(), Triv())
+    t = ("O", "O", "O")
     with pytest.raises(ValueError):
         Identity("x", "iso", t)
     with pytest.raises(ValueError):
-        Identity("x", "exactseq", (Triv(),))
+        Identity("x", "exactseq", ("O",))
     with pytest.raises(ValueError):
         Identity("x", "what", t[:2])
 
 
 def test_check_identity_pass(cayley):
-    ident = Identity(
-        "dual_s", "iso", (parse_expr("dual(E[0,0,0,0,0,1])"), parse_expr("E[0,0,0,0,0,1](-1)"))
-    )
+    ident = Identity("dual_s", "iso", ("dual(E[0,0,0,0,0,1])", "E[0,0,0,0,0,1](-1)"))
     res = check_identity(cayley, ident)
     assert res.passed
     assert res.difference == {}
@@ -161,7 +140,7 @@ def test_check_identity_pass(cayley):
 
 
 def test_check_identity_fail_reports_components(cayley):
-    ident = Identity("wrong", "iso", (parse_expr("O(1)"), parse_expr("O")))
+    ident = Identity("wrong", "iso", ("O(1)", "O"))
     res = check_identity(cayley, ident)
     assert not res.passed
     assert res.difference == {(1, 0, 0, 0, 0, 0): 1, ZERO6: -1}
@@ -170,15 +149,7 @@ def test_check_identity_fail_reports_components(cayley):
 
 def test_check_exact_sequence_signs(cayley):
     # 0 -> A -> A + B -> B -> 0 alternates to zero
-    ident = Identity(
-        "split",
-        "exactseq",
-        (
-            parse_expr("E[0,0,0,0,0,1]"),
-            parse_expr("E[0,0,0,0,0,1] + O(2)"),
-            parse_expr("O(2)"),
-        ),
-    )
+    ident = Identity("split", "exactseq", ("E[0,0,0,0,0,1]", "E[0,0,0,0,0,1] + O(2)", "O(2)"))
     assert check_identity(cayley, ident).passed
 
 
@@ -211,9 +182,7 @@ def test_render_ledger_text(cayley):
     assert text.startswith(f"note: {GRADED_NOTE}")
     assert text.count("PASS") == len(results)
     assert text.strip().endswith("verdict: pass")
-    bad = check_ledger(
-        cayley, [Identity("bad", "iso", (parse_expr("O(1)"), parse_expr("O")))]
-    )
+    bad = check_ledger(cayley, [Identity("bad", "iso", ("O(1)", "O"))])
     bad_text = render_ledger_text(bad)
     assert "FAIL  bad (iso)" in bad_text
     assert "difference:" in bad_text
@@ -237,3 +206,22 @@ def test_identities_from_obj_normalizes_kind():
         [{"name": "n", "kind": "ISO", "terms": ["O", "O"]}]
     )
     assert idents[0].kind == "iso"
+
+
+def test_syntax_error_surfaces_before_evaluation(capsys, tmp_path, monkeypatch):
+    # the first identity would fail to evaluate (non-dominant weight); the
+    # second does not parse, and that must be reported without evaluating
+    def no_eval(*args):
+        raise AssertionError("a term was evaluated before the ledger was parsed")
+
+    monkeypatch.setattr(ledger, "bundle_char", no_eval)
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps([
+        {"name": "first", "kind": "iso", "terms": ["E[0,-1,0,0,0,0]", "O"]},
+        {"name": "second", "kind": "iso", "terms": ["O +", "O"]},
+    ]))
+    code = main(["ledger", "--ledger-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: parse error at position 3: expected an expression\n"
