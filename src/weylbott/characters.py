@@ -233,12 +233,21 @@ def power_op(c: Character, k: int, kind: str) -> Character:
     if any(m < 0 for m in c.values()):
         raise ValueError(f"{kind} power of a virtual character is undefined")
     # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) psi_i e_{k-i};  k h_k likewise
-    # with all plus signs.
+    # with all plus signs.  The work is bounded, not only each support: the
+    # loop makes k(k+1)/2 products, each of len(psi_i) * len(e_{m-i}) terms.
+    products = k * (k + 1) // 2
+    if products > MAX_SUPPORT:
+        raise GuardrailExceeded(f"{kind}^{k} needs {products} products, over the work bound {MAX_SUPPORT}")
     layers: list[Character] = [{(0,) * _rank_of(c): 1} if c else {}]
-    psis = [adams(c, i) for i in range(1, k + 1)]
+    psis: list[Character] = []  # grown one per layer, so the work bound also caps them
+    work = 0
     for m in range(1, k + 1):
+        psis.append(adams(c, m))
         acc: Character = {}
         for i in range(1, m + 1):
+            work += len(psis[i - 1]) * len(layers[m - i])
+            if work > MAX_SUPPORT:
+                raise GuardrailExceeded(f"{kind}^{k} passes the work bound {MAX_SUPPORT} at {kind}^{m}")
             term = char_mul(psis[i - 1], layers[m - i])
             if kind == "wedge" and i % 2 == 0:
                 term = char_scale(term, -1)

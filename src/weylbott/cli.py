@@ -30,6 +30,7 @@ from .verify import (
     BUILTIN_COLLECTIONS,
     builtin_collection,
     ext_table_to_obj,
+    g_module_obj,
     load_collection,
     render_report_text,
     report_to_json,
@@ -129,22 +130,11 @@ def _cmd_cohomology(args) -> int:
     setup = _setup(args)
     res = cohomology(setup, _parse_weight(args.weight))
     if res.is_zero:
-        obj = {"degree": None, "weight": None, "dual": None, "dim": 0}
-        text = "zero"
-    else:
-        rs = setup.rs
-        dual = rs.dual_dominant(Subsystem.full(rs.rank), res.g_weight)
-        obj = {
-            "degree": res.degree,
-            "weight": list(res.g_weight),
-            "dual": list(dual),
-            "dim": res.dim,
-        }
-        text = (
-            f"degree {res.degree}: weight {list(res.g_weight)} "
-            f"(dual {list(dual)}), dim {res.dim}"
-        )
-    _emit(args, obj, text)
+        _emit(args, {"degree": None, "weight": None, "dual": None, "dim": 0}, "zero")
+        return 0
+    g = g_module_obj(setup.rs, res.g_weight)
+    text = f"degree {res.degree}: weight {g['weight']} (dual {g['dual']}), dim {res.dim}"
+    _emit(args, {"degree": res.degree, "dim": res.dim, **g}, text)
     return 0
 
 
@@ -152,9 +142,10 @@ def _cmd_ext(args) -> int:
     setup = _setup(args)
     table = ext_table(setup, _parse_weight(args.weight), _parse_weight(args.weight2))
     lines = []
-    for k in table.nonzero_degrees():
-        ws = ", ".join(f"{list(w)} x {m}" for w, m in table.weights[k])
-        lines.append(f"Ext^{k}: dim {table.dims[k]}  [{ws}]")
+    for k, dim in enumerate(table.dims):
+        if dim:
+            ws = ", ".join(f"{list(w)} x {m}" for w, m in table.weights[k])
+            lines.append(f"Ext^{k}: dim {dim}  [{ws}]")
     _emit(args, ext_table_to_obj(setup, table), "\n".join(lines) or "all degrees vanish")
     return 0
 

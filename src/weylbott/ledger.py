@@ -90,7 +90,12 @@ def _oplus(terms: list[Evaluator]) -> Evaluator:
 
 
 def _power(e: Evaluator, k: int, kind: str) -> Evaluator:
-    return lambda setup: power_op(e(setup), k, kind)
+    def power(setup: ParabolicSetup) -> Character:
+        c = e(setup)  # evaluated for k = 0 too, so that its errors still surface
+        # the zeroth power is O even of a zero character, whose rank power_op cannot see
+        return power_op(c, k, kind) if k else _triv(setup)
+
+    return power
 
 
 # -- parsing -----------------------------------------------------------------

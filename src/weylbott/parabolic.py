@@ -41,15 +41,15 @@ def check_bundle(setup: ParabolicSetup, w: Weight) -> Weight:
 
 
 def bundle_rank(setup: ParabolicSetup, w: Weight) -> int:
-    return weyl_dim(setup.rs, setup.levi, check_bundle(setup, w))
+    return weyl_dim(setup.rs, setup.levi, w)
 
 
 def bundle_char(setup: ParabolicSetup, w: Weight) -> Character:
-    return irrep_character(setup.rs, setup.levi, check_bundle(setup, w))
+    return irrep_character(setup.rs, setup.levi, w)
 
 
 def bundle_dual(setup: ParabolicSetup, w: Weight) -> Weight:
-    return setup.rs.dual_dominant(setup.levi, check_bundle(setup, w))
+    return setup.rs.dual_dominant(setup.levi, w)
 
 
 def twist(setup: ParabolicSetup, w: Weight, t: int) -> Weight:
@@ -79,7 +79,8 @@ def levi_tensor(setup: ParabolicSetup, a: Weight, b: Weight) -> GradedBundle:
     sub = setup.levi
     a = check_bundle(setup, a)
     b = check_bundle(setup, b)
-    if bundle_rank(setup, a) > bundle_rank(setup, b):
+    rank_a, rank_b = bundle_rank(setup, a), bundle_rank(setup, b)
+    if rank_a > rank_b:
         a, b = b, a
     acc: dict[Weight, int] = {}
     for nu, m in bundle_char(setup, a).items():
@@ -95,7 +96,7 @@ def levi_tensor(setup: ParabolicSetup, a: Weight, b: Weight) -> GradedBundle:
     if any(m <= 0 for m in acc.values()):
         raise EngineError(f"tensor product of {a} and {b} has a non-positive multiplicity")
     total = sum(m * weyl_dim(rs, sub, w) for w, m in acc.items())
-    expected = bundle_rank(setup, a) * bundle_rank(setup, b)
+    expected = rank_a * rank_b
     if total != expected:
         raise EngineError(f"rank bookkeeping failed for {a} (x) {b}: {total} != {expected}")
     return sorted(acc.items(), key=lambda t: rs.sort_key(t[0]))

@@ -69,22 +69,17 @@ class VerificationReport:
         return self.tables[(i - 1) * n + (j - 1)]
 
 
-def _check_pair(setup: ParabolicSetup, i: int, j: int, table: ExtTable) -> list[Violation]:
+def _check_pair(i: int, j: int, table: ExtTable) -> list[Violation]:
     out = []
-    if i == j:
-        if table.dims[0] != 1:
-            out.append(Violation((i, j), 0, table.dims[0], "endomorphisms not scalar"))
-        for k in range(1, setup.dim_x + 1):
-            if table.dims[k]:
-                out.append(Violation((i, j), k, table.dims[k], "higher self-extension"))
-    elif i < j:
-        for k in range(1, setup.dim_x + 1):
-            if table.dims[k]:
-                out.append(Violation((i, j), k, table.dims[k], "higher forward extension"))
+    if i == j and table.dims[0] != 1:
+        out.append(Violation((i, j), 0, table.dims[0], "endomorphisms not scalar"))
+    if i > j:
+        lowest, rule = 0, "backward morphism"
     else:
-        for k in range(0, setup.dim_x + 1):
-            if table.dims[k]:
-                out.append(Violation((i, j), k, table.dims[k], "backward morphism"))
+        lowest, rule = 1, "higher self-extension" if i == j else "higher forward extension"
+    for k in range(lowest, len(table.dims)):
+        if table.dims[k]:
+            out.append(Violation((i, j), k, table.dims[k], rule))
     return out
 
 
@@ -104,7 +99,7 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
             for j, b in enumerate(coll.bundles, 1):
                 table = ext_table(setup, a, b)
                 tables.append(table)
-                violations.extend(_check_pair(setup, i, j, table))
+                violations.extend(_check_pair(i, j, table))
     finally:
         setup.rs.char_memo.clear()
     return VerificationReport(coll, tables, violations, time.monotonic() - start)
@@ -198,20 +193,20 @@ def collection_to_obj(coll: Collection) -> dict:
     return obj
 
 
+def g_module_obj(rs: RootSystem, w: Weight) -> dict:
+    """A G-module as printed: its highest weight and that of its dual."""
+    return {"weight": list(w), "dual": list(rs.dual_dominant(Subsystem.full(rs.rank), w))}
+
+
 def ext_table_to_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:
     """One entry per degree 0..dim X, in the shape of ext-table.json."""
-    rs = setup.rs
-    full = Subsystem.full(rs.rank)
     return [
         {
             "degree": k,
-            "dim": table.dims[k],
-            "weights": [
-                {"weight": list(w), "dual": list(rs.dual_dominant(full, w)), "mult": m}
-                for w, m in table.weights[k]
-            ],
+            "dim": dim,
+            "weights": [{**g_module_obj(setup.rs, w), "mult": m} for w, m in modules],
         }
-        for k in range(table.dim_x + 1)
+        for k, (dim, modules) in enumerate(zip(table.dims, table.weights))
     ]
 
 

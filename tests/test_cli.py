@@ -238,6 +238,27 @@ def test_ledger_file(capsys, tmp_path):
     assert "FAIL  broken" in out
 
 
+def test_ledger_file_zeroth_power_of_zero_character(capsys, tmp_path):
+    idents = [
+        {"name": "wedge0", "kind": "iso", "terms": ["wedge^0(wedge^2(O))", "O"]},
+        {"name": "sym0", "kind": "iso", "terms": ["sym^0(wedge^3(O(1)))", "O"]},
+    ]
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(idents))
+    code, out, err = run(capsys, "ledger", "--ledger-file", str(path))
+    assert (code, err) == (0, "")
+    assert "PASS  wedge0" in out and "PASS  sym0" in out
+
+
+def test_ledger_file_power_work_bound(capsys, tmp_path):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps([{"name": "huge", "kind": "iso", "terms": ["sym^100000(O)", "O"]}]))
+    code, out, err = run(capsys, "ledger", "--ledger-file", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "work bound" in err
+
+
 def test_cartan_file(capsys, tmp_path, monkeypatch):
     path = tmp_path / "g2like.json"
     path.write_text(json.dumps({"rank": 2, "entries": [[2, -1], [-3, 2]]}))
