@@ -9,7 +9,6 @@ rational homogeneous spaces G/P.
 from .errors import (
     EngineError,
     GuardrailExceeded,
-    NonIntegralPlethysm,
     NotDecomposable,
     NotDominant,
     NotFiniteType,
@@ -22,7 +21,6 @@ __all__ = [
     "CartanMatrix",
     "EngineError",
     "GuardrailExceeded",
-    "NonIntegralPlethysm",
     "NotDecomposable",
     "NotDominant",
     "NotFiniteType",

@@ -2,20 +2,16 @@
 
 A character is a finite dict {weight: multiplicity} with nonzero integer
 values.  Irreducible characters come from Freudenthal's recursion on the
-dominant cone; wedge and symmetric powers from Adams operations through
-Newton's identities, with exact division as a built-in integrality check.
+dominant cone; wedge and symmetric powers by expanding the product of
+(1 + t e^w) or 1 / (1 - t e^w) over the weights w, each to its multiplicity.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable
 
-from .errors import (
-    EngineError,
-    GuardrailExceeded,
-    NonIntegralPlethysm,
-    NotDecomposable,
-)
+from .errors import EngineError, GuardrailExceeded, NotDecomposable
 from .lie_core import RootSystem, Subsystem, Weight
 
 Character = dict[Weight, int]
@@ -50,12 +46,11 @@ def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
 def weyl_orbit(rs: RootSystem, sub: Subsystem, lam: Weight) -> list[Weight]:
     """The sub-Weyl orbit of lam, deterministically ordered."""
     lam = rs.check_rank(lam)
-    nodes = sub.sorted_nodes
     seen = {lam}
     queue = [lam]
     while queue:
         w = queue.pop()
-        for i in nodes:
+        for i in sub.nodes:
             nw = rs.reflect(i, w)
             if nw not in seen:
                 _guard(len(seen) + 1)
@@ -207,15 +202,6 @@ def char_twist(a: Character, node: int, t: int) -> Character:
 # -- plethysms -----------------------------------------------------------
 
 
-def adams(c: Character, k: int) -> Character:
-    """Adams operation: stretch every weight by k."""
-    if k < 1:
-        raise ValueError("adams operation needs k >= 1")
-    if k == 1:
-        return dict(c)
-    return {tuple(k * x for x in w): m for w, m in c.items()}
-
-
 def _rank_of(c: Character) -> int:
     for w in c:
         return len(w)
@@ -223,7 +209,9 @@ def _rank_of(c: Character) -> int:
 
 
 def power_op(c: Character, k: int, kind: str) -> Character:
-    """Wedge or symmetric power via Newton's identities on Adams operations."""
+    """Wedge or symmetric power: the degree-k part of prod_w (1 + t e^w)^m
+    (wedge) or prod_w (1 - t e^w)^(-m) (sym), w over the weights of c with
+    multiplicity m."""
     if kind not in ("wedge", "sym"):
         raise ValueError(f"unknown power operation {kind!r}")
     if k < 0:
@@ -232,34 +220,29 @@ def power_op(c: Character, k: int, kind: str) -> Character:
         return {(0,) * _rank_of(c): 1}
     if any(m < 0 for m in c.values()):
         raise ValueError(f"{kind} power of a virtual character is undefined")
-    # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) psi_i e_{k-i};  k h_k likewise
-    # with all plus signs.  The work is bounded, not only each support: the
-    # loop makes k(k+1)/2 products, each of len(psi_i) * len(e_{m-i}) terms.
+    # Each weight makes up to k(k+1)/2 steps, one per pair of layers j > j - i;
+    # the work counts the terms they shift, so a large k or a large c stops.
     products = k * (k + 1) // 2
     if products > MAX_SUPPORT:
         raise GuardrailExceeded(f"{kind}^{k} needs {products} products, over the work bound {MAX_SUPPORT}")
-    layers: list[Character] = [{(0,) * _rank_of(c): 1} if c else {}]
-    psis: list[Character] = []  # grown one per layer, so the work bound also caps them
+    layers: list[Character] = [{(0,) * _rank_of(c): 1} if c else {}] + [{} for _ in range(k)]
     work = 0
-    for m in range(1, k + 1):
-        psis.append(adams(c, m))
-        acc: Character = {}
-        for i in range(1, m + 1):
-            work += len(psis[i - 1]) * len(layers[m - i])
-            if work > MAX_SUPPORT:
-                raise GuardrailExceeded(f"{kind}^{k} passes the work bound {MAX_SUPPORT} at {kind}^{m}")
-            term = char_mul(psis[i - 1], layers[m - i])
-            if kind == "wedge" and i % 2 == 0:
-                term = char_scale(term, -1)
-            acc = char_add(acc, term)
-        layer: Character = {}
-        for w, n in acc.items():
-            q, rem = divmod(n, m)
-            if rem:
-                raise NonIntegralPlethysm(f"{kind}^{m} multiplicity {n}/{m} at {w}")
-            if q:
-                layer[w] = q
-        layers.append(layer)
+    for w, m in c.items():
+        # highest layer first, so each step reads layers this weight has not yet changed
+        for j in range(k, 0, -1):
+            for i in range(1, j + 1):
+                coeff = comb(m, i) if kind == "wedge" else comb(m + i - 1, i)
+                if coeff == 0:
+                    break
+                work += len(layers[j - i])
+                if work > MAX_SUPPORT:
+                    raise GuardrailExceeded(f"{kind}^{k} passes the work bound {MAX_SUPPORT} at {kind}^{j}")
+                # in place, so a step costs what it counts (char_add would copy
+                # layer j every step); all terms are positive, none cancels
+                out = layers[j]
+                for v, n in layers[j - i].items():
+                    u = tuple(x + i * y for x, y in zip(v, w))
+                    out[u] = out.get(u, 0) + coeff * n
     return layers[k]
 
 
@@ -285,7 +268,7 @@ def decompose(
         mu = max(work, key=rs.sort_key)
         m = work[mu]
         if not rs.is_dominant(sub, mu):
-            raise NotDecomposable(f"maximal weight {mu} is not dominant on nodes {sorted(sub.nodes)}")
+            raise NotDecomposable(f"maximal weight {mu} is not dominant on nodes {list(sub.nodes)}")
         if m < 0 and not virtual:
             raise NotDecomposable(f"maximal weight {mu} has negative multiplicity {m}")
         for w, cm in irrep_character(rs, sub, mu).items():

@@ -20,11 +20,8 @@ class NotDecomposable(EngineError):
 
 
 class GuardrailExceeded(EngineError):
-    """A character support grew past the configured safety bound."""
-
-
-class NonIntegralPlethysm(EngineError):
-    """A Newton-identity division left a remainder; the input was not a genuine character."""
+    """A character support, or the work of a power operation, passed the fixed
+    safety bound characters.MAX_SUPPORT."""
 
 
 class ParseError(EngineError):

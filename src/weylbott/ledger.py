@@ -45,6 +45,7 @@ from .characters import (
 from .errors import NotDecomposable, ParseError
 from .lie_core import Subsystem, Weight
 from .parabolic import ParabolicSetup, bundle_char
+from .presets import require_keys
 
 GRADED_NOTE = (
     "identities are checked at character (Grothendieck-group) level; "
@@ -414,6 +415,7 @@ def identities_from_obj(data: list) -> list[Identity]:
     for item in data:
         if not isinstance(item, dict):
             raise ValueError(f"each identity must be an object, got {item!r}")
+        require_keys(item, ("name", "kind", "terms"), "an identity")
         name, kind, terms = item.get("name"), item.get("kind"), item.get("terms")
         if not isinstance(name, str) or not isinstance(kind, str):
             raise ValueError(f"an identity needs a string name and kind, got {item!r}")

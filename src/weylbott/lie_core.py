@@ -116,23 +116,19 @@ class PositiveRoot:
 
 @dataclass(frozen=True)
 class Subsystem:
-    """A subset of simple nodes (1-based), closed under nothing: just a label set."""
+    """Simple nodes (1-based) in increasing order, closed under nothing: just a label set."""
 
-    nodes: frozenset[int]
+    nodes: tuple[int, ...]
 
     @classmethod
     def full(cls, rank: int) -> "Subsystem":
-        return cls(frozenset(range(1, rank + 1)))
+        return cls(tuple(range(1, rank + 1)))
 
     @classmethod
     def levi(cls, rank: int, crossed: int) -> "Subsystem":
         if not 1 <= crossed <= rank:
             raise ValueError(f"crossed node {crossed} outside 1..{rank}")
-        return cls(frozenset(range(1, rank + 1)) - {crossed})
-
-    @property
-    def sorted_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.nodes))
+        return cls(tuple(i for i in range(1, rank + 1) if i != crossed))
 
 
 class RootSystem:
@@ -156,10 +152,10 @@ class RootSystem:
         self.two_rho_vee: Weight = tuple(
             sum(col) for col in zip(*(r.coroot for r in self.positive_roots))
         )
-        self._sub_roots: dict[frozenset[int], tuple[PositiveRoot, ...]] = {}
+        self._sub_roots: dict[tuple[int, ...], tuple[PositiveRoot, ...]] = {}
         # Irreducible characters by (sub.nodes, highest weight), filled by
         # characters.irrep_character; a fresh root system starts cold.
-        self.char_memo: dict[tuple[frozenset[int], Weight], dict[Weight, int]] = {}
+        self.char_memo: dict[tuple[tuple[int, ...], Weight], dict[Weight, int]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -242,7 +238,7 @@ class RootSystem:
         """lam as a weight of this rank; NotDominant unless dominant on sub."""
         lam = self.check_rank(lam)
         if not self.is_dominant(sub, lam):
-            raise NotDominant(f"{lam} is not dominant on nodes {sorted(sub.nodes)}")
+            raise NotDominant(f"{lam} is not dominant on nodes {list(sub.nodes)}")
         return lam
 
     # -- Weyl-group operations ----------------------------------------
@@ -264,11 +260,10 @@ class RootSystem:
         reproducible; on regular orbits it equals the Weyl-group length of
         the minimal word.
         """
-        nodes = sub.sorted_nodes
         cur = list(lam)
         count = 0
         while True:
-            for i in nodes:
+            for i in sub.nodes:
                 c = cur[i - 1]
                 if c < 0:
                     for j0, a in self._columns[i - 1]:

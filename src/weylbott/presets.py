@@ -63,10 +63,18 @@ def as_int_list(x, what: str) -> list[int]:
     return [as_int(v, what) for v in x]
 
 
+def require_keys(obj: dict, allowed: tuple[str, ...], what: str) -> None:
+    """ValueError if obj has a key outside allowed, as additionalProperties: false."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s) {', '.join(unknown)}; allowed: {', '.join(allowed)}")
+
+
 def cartan_from_obj(obj: dict) -> CartanMatrix:
     """Build a Cartan matrix from {"rank": n, "entries": [[...], ...]}."""
     if not isinstance(obj, dict):
         raise ValueError(f"a Cartan matrix must be a JSON object, got {obj!r}")
+    require_keys(obj, ("rank", "entries"), "a Cartan matrix")
     rank = as_int(obj.get("rank"), "rank")
     entries = obj.get("entries")
     if not isinstance(entries, list):

@@ -17,7 +17,7 @@ from typing import Optional
 from .bbw import ExtTable, ext_table
 from .lie_core import RootSystem, Subsystem, Weight
 from .parabolic import ParabolicSetup, check_bundle, make_setup, twist
-from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset
+from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, require_keys
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,10 @@ def collection_from_obj(obj: dict) -> Collection:
     """Build a collection from a collection.json object; ValueError if malformed."""
     if not isinstance(obj, dict):
         raise ValueError(f"a collection must be a JSON object, got {obj!r}")
+    require_keys(obj, ("name", "preset", "cartan", "crossed", "bundles", "blocks"), "a collection")
+    name = obj.get("name", "collection")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
     preset = obj.get("preset")
     if preset is not None:
         if not isinstance(preset, str):
@@ -170,10 +174,11 @@ def collection_from_obj(obj: dict) -> Collection:
     for b in bundles:
         if not isinstance(b, dict):
             raise ValueError(f"each bundle must be an object with a weight, got {b!r}")
+        require_keys(b, ("weight",), "a bundle")
     weights = tuple(tuple(as_int_list(b.get("weight"), "a bundle weight")) for b in bundles)
     setup = make_setup(RootSystem(cartan), as_int(obj.get("crossed"), "crossed"))
-    blocks = tuple(as_int_list(obj["blocks"], "blocks")) if obj.get("blocks") else None
-    return Collection(str(obj.get("name", "collection")), setup, weights, preset, blocks)
+    blocks = tuple(as_int_list(obj["blocks"], "blocks")) if "blocks" in obj else None
+    return Collection(name, setup, weights, preset, blocks)
 
 
 def load_collection(path: str) -> Collection:

@@ -4,9 +4,10 @@ These deliberately avoid the code paths they check: the Euler
 characteristic comes from the Weyl product over positive roots (no
 reflections), characters from alternating orbit sums with exact
 polynomial division (no Freudenthal recursion), cohomology degrees
-from inversion counting (no iterative dominance walk), and dominant
+from inversion counting (no iterative dominance walk), dominant
 representatives from reflections in arbitrary positive roots (no
-simple-reflection walk).
+simple-reflection walk), and wedge and symmetric powers from Newton's
+identities on stretched characters (no layer-by-layer product).
 """
 
 from __future__ import annotations
@@ -138,6 +139,31 @@ def orbit_sum_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Wei
                 work.pop(key, None)
     assert all(m > 0 for m in quotient.values())
     return quotient
+
+
+def newton_power(c: dict[Weight, int], k: int, kind: str) -> dict[Weight, int]:
+    """Wedge (e_k) or symmetric (h_k) power by Newton's identities:
+    n e_n = sum_i (-1)^(i-1) psi_i e_{n-i} and n h_n = sum_i psi_i h_{n-i}, where
+    the Adams operation psi_i stretches every weight by i; the division by n is
+    exact on a genuine character.  Uses its own product, not char_mul."""
+    rank = len(next(iter(c)))
+    layers = [{(0,) * rank: 1}]
+    for n in range(1, k + 1):
+        acc: dict[Weight, int] = {}
+        for i in range(1, n + 1):
+            sign = -1 if kind == "wedge" and i % 2 == 0 else 1
+            for wa, ma in c.items():
+                for wb, mb in layers[n - i].items():
+                    w = tuple(i * x + y for x, y in zip(wa, wb))
+                    acc[w] = acc.get(w, 0) + sign * ma * mb
+        layer = {}
+        for w, m in acc.items():
+            q, rem = divmod(m, n)
+            assert rem == 0, (kind, n, w, m)
+            if q:
+                layer[w] = q
+        layers.append(layer)
+    return layers[k]
 
 
 def random_l_dominant(

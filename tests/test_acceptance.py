@@ -112,7 +112,7 @@ def test_criterion_5_intermediate_ext_vanishing(cayley, e6):
     # 0 -> T(-1) -> T_P(-1)|X -> N(-1) -> 0 with N(-1) = S, and its class is
     # an invariant in Ext^1(S, T(-1)).
     # The engine's tables are checked against a route that never enters its
-    # Ext code: Freudenthal characters (wedge^2 by Newton's identities),
+    # Ext code: Freudenthal characters (wedge^2 from the product of (1 + t e^w)),
     # character multiplication, and cohomology from Euler products,
     # inversion counts and root reflections.
     levi = cayley.levi

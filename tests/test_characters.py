@@ -8,7 +8,6 @@ import weylbott.characters as characters
 from weylbott import RootSystem, Subsystem, get_preset
 from weylbott.characters import (
     MAX_SUPPORT,
-    adams,
     char_add,
     char_dim,
     char_dual,
@@ -26,7 +25,7 @@ from weylbott.characters import (
 )
 from weylbott.errors import GuardrailExceeded, NotDecomposable, NotDominant
 
-from oracles import orbit_sum_character
+from oracles import newton_power, orbit_sum_character
 
 W = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 ZERO6 = (0,) * 6
@@ -224,13 +223,6 @@ def test_guardrail_fires_before_freudenthal(monkeypatch):
 # -- plethysms ----------------------------------------------------------------------
 
 
-def test_adams_basics(e6, e6_levi):
-    s = irrep_character(e6, e6_levi, W[5])
-    assert adams(s, 1) == s
-    assert char_dim(adams(s, 3)) == 10
-    assert adams(s, 2) == {tuple(2 * x for x in w): m for w, m in s.items()}
-
-
 def test_power_op_degenerate_cases(e6, e6_levi):
     s = irrep_character(e6, e6_levi, W[5])
     assert power_op(s, 0, "wedge") == {ZERO6: 1}
@@ -261,7 +253,7 @@ def test_wedge_powers_of_vector_bundle(e6, e6_levi):
 
 
 def test_binomial_identity_wedge_sym(e6, e6_levi):
-    # sum_k (-1)^k e_k h_{n-k} = 0 for n >= 1: Newton consistency across kinds
+    # sum_k (-1)^k e_k h_{n-k} = 0 for n >= 1: the wedge series at -t inverts the sym series
     s = irrep_character(e6, e6_levi, W[3])
     n = 3
     acc = {}
@@ -269,6 +261,44 @@ def test_binomial_identity_wedge_sym(e6, e6_levi):
         term = char_mul(power_op(s, k, "wedge"), power_op(s, n - k, "sym"))
         acc = char_add(acc, char_scale(term, (-1) ** k))
     assert acc == {}
+
+
+
+@pytest.mark.parametrize("kind", ["wedge", "sym"])
+def test_power_op_matches_newton_on_ledger_bundles(e6, e6_levi, kind):
+    # the ledger's S, its dual, T and Omega
+    s = irrep_character(e6, e6_levi, W[5])
+    tangent = irrep_character(e6, e6_levi, W[3])
+    omega = irrep_character(e6, e6_levi, (-2, 1, 0, 0, 0, 0))
+    for c in (s, char_dual(s), tangent, omega):
+        for k in range(5):
+            assert power_op(c, k, kind) == newton_power(c, k, kind), k
+
+
+def test_power_op_matches_newton_on_random_characters():
+    rng = random.Random(8)
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        c = {}
+        for _ in range(rng.randint(1, 5)):
+            c[tuple(rng.randint(-3, 3) for _ in range(rank))] = rng.randint(1, 4)
+        for kind in ("wedge", "sym"):
+            for k in range(5):
+                assert power_op(c, k, kind) == newton_power(c, k, kind), (c, k, kind)
+
+
+def test_power_op_work_bound(monkeypatch):
+    # the running count stops a wide character; a lowered bound keeps the test quick
+    monkeypatch.setattr(characters, "MAX_SUPPORT", 1000)
+    with pytest.raises(GuardrailExceeded, match="passes the work bound 1000 at sym"):
+        power_op({(i, 0): 1 for i in range(100)}, 2, "sym")
+    assert char_dim(power_op({(i, 0): 1 for i in range(10)}, 2, "sym")) == 55
+
+
+def test_sym_power_of_two_weights_is_not_refused():
+    # sym^k of two weights has k + 1 weights; the dimension is k + 1
+    c = {(1, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0): 1}
+    assert char_dim(power_op(c, 200, "sym")) == 201
 
 
 # -- decomposition ----------------------------------------------------------------

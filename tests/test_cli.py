@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,8 +46,6 @@ def registry():
 
 
 def validate(instance, schema_name, registry):
-    import jsonschema
-
     jsonschema.validate(
         instance=instance, schema=_load_schema(schema_name), registry=registry
     )
@@ -331,22 +330,51 @@ def test_exit_missing_file(capsys):
     assert code == 2
 
 
+def run_on_file(capsys, tmp_path, obj, *argv):
+    """Run argv with the JSON of obj written to a file as its last argument."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return run(capsys, *argv, str(path))
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+B4_POINT = {"preset": "B4", "crossed": 1, "bundles": [{"weight": [0, 0, 0, 0]}]}
+
+
 @pytest.mark.parametrize(
     "obj",
     [
         {"preset": "E6-paper", "crossed": 1, "bundles": [{"weight": None}]},
         {"cartan": {"rank": 2, "entries": 5}, "crossed": 1, "bundles": [{"weight": [0, 0]}]},
         {"preset": "E6-paper", "crossed": 1, "bundles": []},
+        {**B4_POINT, "name": 5},
+        {**B4_POINT, "blocks": False},
+        {**B4_POINT, "bundle": [{"weight": [0, 0, 0, 0]}]},
+        {**B4_POINT, "bundles": [{"weight": [0, 0, 0, 0], "twist": 3}]},
     ],
-    ids=["null-weight", "scalar-entries", "no-bundles"],
+    ids=[
+        "null-weight", "scalar-entries", "no-bundles",
+        "integer-name", "false-blocks", "unknown-key", "bundle-twist",
+    ],
 )
-def test_malformed_collection_is_usage_error(capsys, tmp_path, obj):
-    path = tmp_path / "coll.json"
-    path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "verify", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_malformed_collection_is_usage_error(capsys, tmp_path, registry, obj):
+    with pytest.raises(jsonschema.ValidationError):
+        validate(obj, "collection.json", registry)
+    assert_usage_error(*run_on_file(capsys, tmp_path, obj, "verify"))
+
+
+def test_empty_blocks_is_usage_error(capsys, tmp_path, registry):
+    # the schema allows an empty list; the block sizes must sum to the collection size
+    obj = {**B4_POINT, "blocks": []}
+    validate(obj, "collection.json", registry)
+    code, out, err = run_on_file(capsys, tmp_path, obj, "verify")
+    assert_usage_error(code, out, err)
+    assert "block sizes" in err
 
 
 @pytest.mark.parametrize(
@@ -355,16 +383,28 @@ def test_malformed_collection_is_usage_error(capsys, tmp_path, obj):
         [{"name": "x", "kind": "iso", "terms": None}],
         [5],
         [{"name": "x", "kind": "iso", "terms": [5, "O"]}],
+        [{"name": "x", "kind": "iso", "terms": ["O", "O(1)"], "extra": 1}],
     ],
-    ids=["null-terms", "scalar-entry", "integer-term"],
+    ids=["null-terms", "scalar-entry", "integer-term", "unknown-key"],
 )
-def test_malformed_ledger_is_usage_error(capsys, tmp_path, obj):
-    path = tmp_path / "ledger.json"
-    path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "ledger", "--ledger-file", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_malformed_ledger_is_usage_error(capsys, tmp_path, registry, obj):
+    with pytest.raises(jsonschema.ValidationError):
+        validate(obj, "ledger.json", registry)
+    assert_usage_error(*run_on_file(capsys, tmp_path, obj, "ledger", "--ledger-file"))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rank": 2, "entries": 5},
+        {"rank": 2, "entries": [[2, -1], [-1, 2]], "name": "A2"},
+    ],
+    ids=["scalar-entries", "unknown-key"],
+)
+def test_malformed_cartan_is_usage_error(capsys, tmp_path, registry, obj):
+    with pytest.raises(jsonschema.ValidationError):
+        validate(obj, "cartan.json", registry)
+    assert_usage_error(*run_on_file(capsys, tmp_path, obj, "dim", "--weight=1,0", "--preset"))
 
 
 def test_closed_stdout_keeps_exit_code():
