@@ -32,14 +32,18 @@ def _guard(size: int) -> None:
 def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam, by the Weyl product."""
     lam = rs.require_dominant(sub, lam)
-    num = 1
-    den = 1
-    for r in rs.sub_positive_roots(sub):
-        num *= sum(e * (x + 1) for e, x in zip(r.coroot, lam))
-        den *= sum(r.coroot)
-    q, rem = divmod(num, den)
-    if rem:
-        raise EngineError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
+    key = (sub.nodes, lam)
+    q = rs.dim_memo.get(key)
+    if q is None:
+        num = 1
+        den = 1
+        for r in rs.sub_positive_roots(sub):
+            num *= sum(e * (x + 1) for e, x in zip(r.coroot, lam))
+            den *= sum(r.coroot)
+        q, rem = divmod(num, den)
+        if rem:
+            raise EngineError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
+        rs.dim_memo[key] = q
     return q
 
 
@@ -182,7 +186,7 @@ def char_mul(a: Character, b: Character) -> Character:
             if n:
                 out[w] = n
             else:
-                del out[w]
+                out.pop(w, None)
         _guard(len(out))
     return out
 

@@ -156,6 +156,8 @@ class RootSystem:
         # Irreducible characters by (sub.nodes, highest weight), filled by
         # characters.irrep_character; a fresh root system starts cold.
         self.char_memo: dict[tuple[tuple[int, ...], Weight], dict[Weight, int]] = {}
+        # Weyl dimensions by the same key, filled by characters.weyl_dim.
+        self.dim_memo: dict[tuple[tuple[int, ...], Weight], int] = {}
 
     # -- construction -------------------------------------------------
 

@@ -86,22 +86,37 @@ def _check_pair(i: int, j: int, table: ExtTable) -> list[Violation]:
 def verify_strong_exceptional(coll: Collection) -> VerificationReport:
     """Check all ordered pairs; never stops early, so reports are exhaustive.
 
+    O(t) is a line bundle, so Ext(E_a(t), E_b(s)) = Ext(E_a, E_b(s - t)):
+    each pair is keyed by a untwisted to 0 at the crossed node and b
+    shifted by the same amount, and every pair of a class shares one
+    (frozen) table.  A class is computed at its first pair's own weights,
+    which keeps the Levi characters it asks for those of the bundles, so
+    the character memo serves collections whose pairs share no class.
     The report keeps the collection and so its root system; the character
-    memo filled by the run is emptied on return, so that a kept report does
-    not also keep every character the run built.
+    and dimension memos filled by the run are emptied on return, so that a
+    kept report does not also keep them.
     """
     setup = coll.setup
+    rs = setup.rs
+    c = setup.crossed - 1
     start = time.monotonic()
+    memo: dict[tuple[Weight, Weight], ExtTable] = {}
     tables: list[ExtTable] = []
     violations: list[Violation] = []
     try:
         for i, a in enumerate(coll.bundles, 1):
+            t = -a[c]
+            a0 = twist(setup, a, t)
             for j, b in enumerate(coll.bundles, 1):
-                table = ext_table(setup, a, b)
+                b0 = twist(setup, b, t)
+                table = memo.get((a0, b0))
+                if table is None:
+                    table = memo[a0, b0] = ext_table(setup, a, b)
                 tables.append(table)
                 violations.extend(_check_pair(i, j, table))
     finally:
-        setup.rs.char_memo.clear()
+        rs.char_memo.clear()
+        rs.dim_memo.clear()
     return VerificationReport(coll, tables, violations, time.monotonic() - start)
 
 
@@ -216,9 +231,14 @@ def ext_table_to_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:
 
 
 def report_to_obj(report: VerificationReport) -> dict:
-    """The canonical certificate; it never carries the elapsed time."""
+    """The canonical certificate; it never carries the elapsed time.
+
+    Pairs of one twist class share a table object, converted once here;
+    json.dumps writes a shared object once per place it appears."""
     coll = report.collection
     n = len(coll.bundles)
+    distinct = {id(t): t for t in report.tables}
+    converted = {k: ext_table_to_obj(coll.setup, t) for k, t in distinct.items()}
     return {
         "collection": collection_to_obj(coll),
         "dim_x": coll.setup.dim_x,
@@ -233,7 +253,7 @@ def report_to_obj(report: VerificationReport) -> dict:
         "tables": [
             {
                 "pair": [i + 1, j + 1],
-                "table": ext_table_to_obj(coll.setup, report.table_for(i + 1, j + 1)),
+                "table": converted[id(report.table_for(i + 1, j + 1))],
             }
             for i in range(n)
             for j in range(n)

@@ -6,8 +6,10 @@ reflections), characters from alternating orbit sums with exact
 polynomial division (no Freudenthal recursion), cohomology degrees
 from inversion counting (no iterative dominance walk), dominant
 representatives from reflections in arbitrary positive roots (no
-simple-reflection walk), and wedge and symmetric powers from Newton's
-identities on stretched characters (no layer-by-layer product).
+simple-reflection walk), wedge and symmetric powers from Newton's
+identities on stretched characters (no layer-by-layer product), and the
+Ext tables of a collection one ordered pair at a time (no twist-class
+sharing).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 
-from weylbott.characters import char_dual, char_mul, char_sub, decompose, weyl_orbit
+from weylbott.bbw import ExtTable, ext_table
+from weylbott.characters import char_dual, char_mul, decompose
 from weylbott.lie_core import RootSystem, Subsystem, Weight
 
 
@@ -92,6 +95,12 @@ def ext_from_characters(
         g = tuple(x - 1 for x in dominant_chamber(rs, full, mu))
         modules[k][g] = modules[k].get(g, 0) + m
     return dims, [sorted(d.items()) for d in modules]
+
+
+def per_pair_tables(coll) -> list[ExtTable]:
+    """The naive verifier path: one ext_table call per ordered pair, row-major,
+    with every pair taken at its own twist."""
+    return [ext_table(coll.setup, a, b) for a in coll.bundles for b in coll.bundles]
 
 
 def orbit_sum_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weight, int]:

@@ -169,6 +169,12 @@ def test_char_arithmetic_basics(e6, e6_levi):
     assert char_mul(s, t) == char_mul(t, s)
 
 
+def test_char_mul_zero_multiplicity():
+    # a zero in a factor contributes nothing; it must not raise KeyError
+    assert char_mul({(0,): 0}, {(1,): 1}) == {}
+    assert char_mul({(0,): 0, (1,): 2}, {(1,): 1}) == {(2,): 2}
+
+
 def test_char_twist_and_dual(e6, e6_levi):
     s = irrep_character(e6, e6_levi, W[5])
     assert char_twist(s, 1, 0) == s

@@ -1,18 +1,24 @@
 """End-to-end strong-exceptionality verification and report serialization."""
 
 import json
+import random
+from functools import partial
 
 import pytest
 
+import weylbott.bbw as bbw
 from weylbott import RootSystem, get_preset
 from weylbott.bbw import ext_table
-from weylbott.parabolic import make_setup
+from weylbott.parabolic import bundle_rank, make_setup, twist
 from weylbott.verify import (
     Collection,
+    VerificationReport,
     Violation,
+    _check_pair,
     builtin_collection,
     collection_from_obj,
     collection_to_obj,
+    ext_table_to_obj,
     load_collection,
     render_report_text,
     report_to_json,
@@ -20,8 +26,28 @@ from weylbott.verify import (
     verify_strong_exceptional,
 )
 
+from oracles import per_pair_tables, random_l_dominant
+
 ZERO6 = (0,) * 6
 S_DUAL = (-1, 0, 0, 0, 0, 1)
+
+# Setups whose crossed node is not node 1 (E6/P6, D5/P5) or whose Levi is
+# not simply laced (B4/P1).
+TWIST_SETUPS = (("E6-paper", 6), ("D5", 5), ("B4", 1))
+
+
+def twisted_collection(preset: str, crossed: int, seed: int) -> Collection:
+    """Six bundles drawn from three Levi parts, each under a twist in -3..3,
+    so that several ordered pairs fall into one twist class."""
+    rng = random.Random(seed)
+    setup = make_setup(RootSystem(get_preset(preset)), crossed)
+    rank = partial(bundle_rank, setup)
+    pool = [
+        random_l_dominant(rng, setup.rs, crossed, 60, rank, crossed_range=(0, 0))
+        for _ in range(3)
+    ]
+    bundles = tuple(twist(setup, rng.choice(pool), rng.randint(-3, 3)) for _ in range(6))
+    return Collection(f"{preset}/P{crossed} seed {seed}", setup, bundles)
 
 
 # -- small hand-built collections ----------------------------------------------
@@ -139,15 +165,84 @@ def test_report_deterministic_across_memo_states():
     coll = builtin_collection("kapranovQ7")
     rs = coll.setup.rs
     assert rs.char_memo == {}
+    assert rs.dim_memo == {}
     cold = report_to_json(verify_strong_exceptional(coll))
-    assert rs.char_memo == {}  # a finished run leaves no characters behind
+    # a finished run leaves no characters or dimensions behind
+    assert rs.char_memo == {}
+    assert rs.dim_memo == {}
     for a in coll.bundles:
         for b in coll.bundles:
             ext_table(coll.setup, a, b)
     assert rs.char_memo
+    assert rs.dim_memo
     warm = report_to_json(verify_strong_exceptional(coll))
+    assert rs.char_memo == {}
+    assert rs.dim_memo == {}
     fresh = report_to_json(verify_strong_exceptional(builtin_collection("kapranovQ7")))
     assert cold == warm == fresh
+
+
+# -- the twist-class memo --------------------------------------------------------------
+
+
+def naive_report(coll: Collection) -> VerificationReport:
+    """The report of the per-pair path: every table computed on its own."""
+    tables = per_pair_tables(coll)
+    n = len(coll.bundles)
+    violations = [v for k, t in enumerate(tables) for v in _check_pair(k // n + 1, k % n + 1, t)]
+    return VerificationReport(coll, tables, violations)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(builtin_collection, "cayley27"), partial(builtin_collection, "kapranovQ7")]
+    + [partial(twisted_collection, p, c, seed) for p, c in TWIST_SETUPS for seed in (1, 2)],
+    ids=["cayley27", "kapranovQ7"] + [f"{p}-P{c}-seed{seed}" for p, c in TWIST_SETUPS for seed in (1, 2)],
+)
+def test_memoized_report_matches_per_pair_path(make):
+    coll = make()
+    report = verify_strong_exceptional(coll)
+    assert len({id(t) for t in report.tables}) < report.pairs_checked  # the memo was hit
+    naive = naive_report(coll)
+    n = len(coll.bundles)
+    differ = [divmod(k, n) for k, (x, y) in enumerate(zip(report.tables, naive.tables)) if x != y]
+    assert differ == []  # 0-based (i, j) of the pairs whose tables differ
+    # compared as a bool: a diff of two megabyte strings would take minutes
+    text = report_to_json(report)
+    same = text == report_to_json(naive)
+    assert same, "the certificates differ"
+    # each pair's entry as converted on its own, so a serializer that hands
+    # a pair the wrong shared object fails even where no sha256 is pinned
+    own = [ext_table_to_obj(coll.setup, t) for t in naive.tables]
+    assert [e["table"] for e in json.loads(text)["tables"]] == own
+
+
+@pytest.mark.parametrize("preset, crossed", TWIST_SETUPS)
+def test_ext_table_depends_on_twist_difference(preset, crossed):
+    rng = random.Random(f"{preset}/{crossed}")
+    setup = make_setup(RootSystem(get_preset(preset)), crossed)
+    rank = partial(bundle_rank, setup)
+    for _ in range(12):
+        a, b = (random_l_dominant(rng, setup.rs, crossed, 60, rank) for _ in range(2))
+        t, s = rng.randint(-3, 3), rng.randint(-3, 3)
+        assert ext_table(setup, twist(setup, a, t), twist(setup, b, s)) == ext_table(
+            setup, a, twist(setup, b, s - t)
+        )
+
+
+def test_cayley27_cold_run_makes_one_levi_tensor_per_class(monkeypatch):
+    calls = []
+    true_levi_tensor = bbw.levi_tensor
+
+    def counting(setup, a, b):
+        calls.append((a, b))
+        return true_levi_tensor(setup, a, b)
+
+    monkeypatch.setattr(bbw, "levi_tensor", counting)
+    report = verify_strong_exceptional(builtin_collection("cayley27"))
+    assert report.pairs_checked == 729
+    assert len(calls) <= 153
+    assert len({id(t) for t in report.tables}) == len(calls)
 
 
 def test_timing_excluded_by_default():
