@@ -4,10 +4,12 @@ A character is a finite dict {weight: multiplicity} with nonzero integer
 values.  Irreducible characters come from Freudenthal's recursion on the
 dominant cone; wedge and symmetric powers by expanding the product of
 (1 + t e^w) or 1 / (1 - t e^w) over the weights w, each to its multiplicity.
+A Weyl-invariant character is decomposed from its dominant part alone.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import comb
 from typing import Iterable
 
@@ -169,10 +171,6 @@ def char_scale(a: Character, k: int) -> Character:
     return {w: m * k for w, m in a.items()}
 
 
-def char_sub(a: Character, b: Character) -> Character:
-    return char_add(a, char_scale(b, -1))
-
-
 def char_mul(a: Character, b: Character) -> Character:
     if len(a) > len(b):
         a, b = b, a
@@ -256,41 +254,43 @@ def power_op(c: Character, k: int, kind: str) -> Character:
 def decompose(
     rs: RootSystem, sub: Subsystem, c: Character, virtual: bool = False
 ) -> list[tuple[Weight, int]]:
-    """Write a character as a sum of irreducibles, highest weights first.
+    """Write a character as a sum of irreducibles, lowest weight first.
 
-    Repeatedly strips the maximal weight in (height, lex) order; that
-    weight must be sub-dominant, and unless `virtual` is set its
+    A sub-Weyl-invariant character is fixed by its sub-dominant part, so after
+    one invariance check (each weight has the multiplicity of its dominant
+    conjugate, and each orbit is whole) only that part is stripped, highest
+    weight in (height, lex) order first.  Unless `virtual` is set, each stripped
     multiplicity must be positive.
     """
     work = {w: m for w, m in c.items() if m}
+    counts: dict[Weight, int] = {}  # dominant weight -> its conjugates in the support
+    for w, m in work.items():
+        d = rs.make_dominant(sub, w)[1]
+        if work.get(d, 0) != m:
+            raise NotDecomposable(f"weight {w} has multiplicity {m}, its dominant conjugate {d} has {work.get(d, 0)}")
+        counts[d] = counts.get(d, 0) + 1
+    for d, n in counts.items():
+        if n != orbit_size(rs, sub, d):
+            raise NotDecomposable(f"only {n} of the {orbit_size(rs, sub, d)} conjugates of {d} are weights")
+    dom = {d: work[d] for d in counts}
+    # max-heap on (height, lex); entries of weights stripped or cancelled are skipped
+    heap = [(-rs.height_of(w), [-x for x in w], w) for w in dom]
+    heapify(heap)
     out: list[tuple[Weight, int]] = []
-    budget = 10 * len(work) + 1000
-    while work:
-        budget -= 1
-        if budget < 0:
-            raise NotDecomposable("decomposition did not terminate; input is not finite-dimensional")
-        mu = max(work, key=rs.sort_key)
-        m = work[mu]
-        if not rs.is_dominant(sub, mu):
-            raise NotDecomposable(f"maximal weight {mu} is not dominant on nodes {list(sub.nodes)}")
+    while heap:
+        mu = heappop(heap)[2]
+        m = dom.get(mu)
+        if m is None:
+            continue
         if m < 0 and not virtual:
-            raise NotDecomposable(f"maximal weight {mu} has negative multiplicity {m}")
-        for w, cm in irrep_character(rs, sub, mu).items():
-            n = work.get(w, 0) - m * cm
+            raise NotDecomposable(f"highest remaining weight {mu} has negative multiplicity {m}")
+        for nu, k in _freudenthal(rs, sub, mu, _dominant_weights(rs, sub, mu)).items():
+            if nu not in dom:
+                heappush(heap, (-rs.height_of(nu), [-x for x in nu], nu))
+            n = dom.get(nu, 0) - m * k
             if n:
-                work[w] = n
+                dom[nu] = n
             else:
-                work.pop(w, None)
+                del dom[nu]
         out.append((mu, m))
-    out.sort(key=lambda t: rs.sort_key(t[0]))
-    return out
-
-
-def from_components(
-    rs: RootSystem, sub: Subsystem, comps: Iterable[tuple[Weight, int]]
-) -> Character:
-    """Inverse of decompose: rebuild the character of a sum of irreducibles."""
-    acc: Character = {}
-    for w, m in comps:
-        acc = char_add(acc, char_scale(irrep_character(rs, sub, w), m))
-    return acc
+    return out[::-1]

@@ -42,7 +42,7 @@ from .characters import (
     power_op,
     weight_mults_obj,
 )
-from .errors import NotDecomposable, ParseError
+from .errors import ParseError
 from .lie_core import Subsystem, Weight
 from .parabolic import ParabolicSetup, bundle_char
 from .presets import require_keys
@@ -276,7 +276,7 @@ class CheckResult:
     kind: str
     passed: bool
     difference: Character
-    diff_components: Optional[tuple[tuple[Weight, int], ...]]
+    diff_components: Optional[tuple[tuple[Weight, int], ...]]  # None exactly when passed
 
 
 def check_identity(setup: ParabolicSetup, ident: Identity) -> CheckResult:
@@ -285,12 +285,8 @@ def check_identity(setup: ParabolicSetup, ident: Identity) -> CheckResult:
     for idx, term in enumerate(ident.evaluators):
         sign = 1 if idx % 2 == 0 else -1
         diff = char_add(diff, char_scale(eval_expr(setup, term), sign))
-    comps: Optional[tuple[tuple[Weight, int], ...]] = None
-    if diff:
-        try:
-            comps = tuple(decompose(setup.rs, setup.levi, diff, virtual=True))
-        except NotDecomposable:
-            comps = None
+    # every evaluator gives a W_L-invariant character, so a difference always decomposes
+    comps = tuple(decompose(setup.rs, setup.levi, diff, virtual=True)) if diff else None
     return CheckResult(ident.name, ident.kind, not diff, diff, comps)
 
 
@@ -468,11 +464,8 @@ def render_ledger_text(results: list[CheckResult]) -> str:
     for r in results:
         lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.name} ({r.kind})")
         if not r.passed:
-            if r.diff_components is not None:
-                comps = ", ".join(f"{m} x E{list(w)}" for w, m in r.diff_components)
-                lines.append(f"      difference: {comps}")
-            else:
-                lines.append(f"      difference has {len(r.difference)} weights")
+            comps = ", ".join(f"{m} x E{list(w)}" for w, m in r.diff_components)
+            lines.append(f"      difference: {comps}")
     verdict = "pass" if all(r.passed for r in results) else "fail"
     lines.append("")
     lines.append(f"verdict: {verdict}")

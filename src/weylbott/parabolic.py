@@ -112,7 +112,3 @@ def branch(setup: ParabolicSetup, lam: Weight) -> GradedBundle:
     full = Subsystem.full(rs.rank)
     ch = irrep_character(rs, full, rs.require_dominant(full, lam))
     return decompose(rs, setup.levi, ch)
-
-
-def graded_rank(setup: ParabolicSetup, graded: GradedBundle) -> int:
-    return sum(m * bundle_rank(setup, w) for w, m in graded)

@@ -7,19 +7,25 @@ polynomial division (no Freudenthal recursion), cohomology degrees
 from inversion counting (no iterative dominance walk), dominant
 representatives from reflections in arbitrary positive roots (no
 simple-reflection walk), wedge and symmetric powers from Newton's
-identities on stretched characters (no layer-by-layer product), and the
+identities on stretched characters (no layer-by-layer product), the
 Ext tables of a collection one ordered pair at a time (no twist-class
-sharing).
+sharing), and decompositions into irreducibles by stripping the maximal
+weight of the whole support with orbit-expanded characters (no
+invariance check, no dominant-part-only stripping).
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from fractions import Fraction as Q
+from heapq import heapify, heappop, heappush
 
 from weylbott.bbw import ExtTable, ext_table
-from weylbott.characters import char_dual, char_mul, decompose
+from weylbott.characters import char_add, char_dual, char_mul, char_scale, irrep_character
+from weylbott.errors import NotDecomposable
 from weylbott.lie_core import RootSystem, Subsystem, Weight
+from weylbott.parabolic import ParabolicSetup, bundle_rank
 
 
 def euler_characteristic(rs: RootSystem, lam: Weight) -> int:
@@ -67,6 +73,61 @@ def dominant_chamber(rs: RootSystem, sub: Subsystem, mu: Weight) -> Weight:
             return mu
 
 
+def strip_full_support(
+    rs: RootSystem, sub: Subsystem, c: dict[Weight, int], virtual: bool = False
+) -> list[tuple[Weight, int]]:
+    """A character as a sum of irreducibles, lowest weight first.
+
+    Repeatedly strips the maximal weight of the whole support in (height, lex)
+    order, kept on a heap, by subtracting the full orbit-expanded character of
+    its irreducible.  That weight must be sub-dominant, and unless `virtual`
+    is set its multiplicity must be positive.
+    """
+    work = {w: m for w, m in c.items() if m}
+    heap = [(-rs.height_of(w), [-x for x in w], w) for w in work]
+    heapify(heap)
+    out = []
+    while heap:
+        mu = heappop(heap)[2]
+        m = work.get(mu)
+        if m is None:
+            continue  # stripped or cancelled since it was pushed
+        if not rs.is_dominant(sub, mu):
+            raise NotDecomposable(f"maximal weight {mu} is not dominant on nodes {list(sub.nodes)}")
+        if m < 0 and not virtual:
+            raise NotDecomposable(f"maximal weight {mu} has negative multiplicity {m}")
+        for w, cm in irrep_character(rs, sub, mu).items():
+            if w not in work:
+                heappush(heap, (-rs.height_of(w), [-x for x in w], w))
+            n = work.get(w, 0) - m * cm
+            if n:
+                work[w] = n
+            else:
+                work.pop(w)
+        out.append((mu, m))
+    out.sort(key=lambda t: rs.sort_key(t[0]))
+    return out
+
+
+def from_components(
+    rs: RootSystem, sub: Subsystem, comps: Iterable[tuple[Weight, int]]
+) -> dict[Weight, int]:
+    """Inverse of a decomposition: rebuild the character of a sum of irreducibles."""
+    acc: dict[Weight, int] = {}
+    for w, m in comps:
+        acc = char_add(acc, char_scale(irrep_character(rs, sub, w), m))
+    return acc
+
+
+def char_sub(a: dict[Weight, int], b: dict[Weight, int]) -> dict[Weight, int]:
+    return char_add(a, char_scale(b, -1))
+
+
+def graded_rank(setup: ParabolicSetup, graded: Iterable[tuple[Weight, int]]) -> int:
+    """Total rank of a direct sum of irreducible bundles."""
+    return sum(m * bundle_rank(setup, w) for w, m in graded)
+
+
 def ext_from_characters(
     rs: RootSystem,
     levi: Subsystem,
@@ -86,7 +147,7 @@ def ext_from_characters(
     full = Subsystem.full(rs.rank)
     dims = [0] * (dim_x + 1)
     modules: list[dict[Weight, int]] = [{} for _ in range(dim_x + 1)]
-    for w, m in decompose(rs, levi, char_mul(char_dual(char_a), char_b)):
+    for w, m in strip_full_support(rs, levi, char_mul(char_dual(char_a), char_b)):
         mu = tuple(x + 1 for x in w)
         if not is_regular(rs, full, mu):
             continue

@@ -14,7 +14,6 @@ from weylbott.characters import (
     char_dual,
     char_mul,
     char_twist,
-    decompose,
     irrep_character,
     power_op,
     weyl_dim,
@@ -37,6 +36,7 @@ from oracles import (
     inversion_count,
     is_regular,
     random_l_dominant,
+    strip_full_support,
 )
 
 W = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
@@ -181,7 +181,7 @@ def test_criterion_6_tensor_cross_check(cayley, e6, e6_levi):
         ca = irrep_character(e6, e6_levi, da)
         for b in coll.bundles:
             direct = levi_tensor(cayley, da, b)
-            oracle = decompose(
+            oracle = strip_full_support(
                 e6, e6_levi, char_mul(ca, irrep_character(e6, e6_levi, b))
             )
             checked += 1
@@ -197,7 +197,7 @@ def test_criterion_6_tensor_cross_check(cayley, e6, e6_levi):
     for _ in range(100):
         a, b = small(), sample()
         direct = levi_tensor(cayley, a, b)
-        oracle = decompose(
+        oracle = strip_full_support(
             e6,
             e6_levi,
             char_mul(

@@ -1,6 +1,10 @@
 """Weyl dimensions, Freudenthal characters, plethysms and decomposition."""
 
+import ast
 import random
+from functools import partial
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +17,8 @@ from weylbott.characters import (
     char_dual,
     char_mul,
     char_scale,
-    char_sub,
     char_twist,
     decompose,
-    from_components,
     irrep_character,
     orbit_size,
     power_op,
@@ -24,8 +26,16 @@ from weylbott.characters import (
     weyl_orbit,
 )
 from weylbott.errors import GuardrailExceeded, NotDecomposable, NotDominant
+from weylbott.parabolic import bundle_rank, make_setup
 
-from oracles import newton_power, orbit_sum_character
+from oracles import (
+    char_sub,
+    from_components,
+    newton_power,
+    orbit_sum_character,
+    random_l_dominant,
+    strip_full_support,
+)
 
 W = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 ZERO6 = (0,) * 6
@@ -338,8 +348,86 @@ def test_decompose_rejects_virtual(e6, e6_levi):
 
 
 def test_decompose_rejects_asymmetric(e6, e6_levi):
-    bad = dict(irrep_character(e6, e6_levi, W[5]))
+    s = irrep_character(e6, e6_levi, W[5])
+    bad = dict(s)
     top = max(bad, key=lambda w: (e6.height_of(w), w))
     del bad[top]
     with pytest.raises(NotDecomposable):
         decompose(e6, e6_levi, bad)
+    # S's only dominant weight is its top weight, so dropping or changing any
+    # other weight keeps the maximal weight dominant with multiplicity 1
+    low = min(s, key=e6.sort_key)
+    assert not e6.is_dominant(e6_levi, low)
+    for bad in ({w: m for w, m in s.items() if w != low}, {**s, low: 2}):
+        assert max(bad, key=e6.sort_key) == W[5] and bad[W[5]] == 1
+        for virtual in (False, True):
+            with pytest.raises(NotDecomposable):
+                decompose(e6, e6_levi, bad, virtual=virtual)
+            with pytest.raises(NotDecomposable):
+                strip_full_support(e6, e6_levi, bad, virtual=virtual)
+    # a zero multiplicity is ignored wherever it sits: above the top, dominant or not
+    padded = {**s, (0, 0, 0, 0, 0, 2): 0, (0, 0, 0, 0, 0, -3): 0, ZERO6: 0}
+    for virtual in (False, True):
+        assert decompose(e6, e6_levi, padded, virtual=virtual) == [(W[5], 1)]
+
+
+# The engine strips the dominant cone only; tests/oracles.py strips the whole
+# support with orbit-expanded characters, as the engine did before.
+
+E6_SMALL_DOMINANT = [
+    tuple(1 if i in ones else 0 for i in range(6))
+    for k in range(3)
+    for ones in combinations(range(6), k)
+]
+
+
+@pytest.mark.parametrize("crossed", [1, 6])
+def test_decompose_matches_oracle_on_branching(e6, e6_full, crossed):
+    levi = Subsystem.levi(6, crossed)
+    for lam in E6_SMALL_DOMINANT:
+        ch = irrep_character(e6, e6_full, lam)
+        comps = decompose(e6, levi, ch)
+        assert comps == strip_full_support(e6, levi, ch), lam
+        assert sum(m * weyl_dim(e6, levi, w) for w, m in comps) == weyl_dim(e6, e6_full, lam)
+
+
+@pytest.mark.parametrize("preset,crossed", [("E6-paper", 1), ("D5", 5), ("B4", 1)])
+def test_decompose_matches_oracle_on_products(preset, crossed):
+    rs = RootSystem(get_preset(preset))
+    setup = make_setup(rs, crossed)
+    levi = setup.levi
+    rng = random.Random(10 + crossed)
+    draw = partial(random_l_dominant, rng, rs, crossed, 200, partial(bundle_rank, setup))
+    for _ in range(12):
+        a, b, c, d = (irrep_character(rs, levi, draw()) for _ in range(4))
+        prod = char_mul(a, b)
+        comps = decompose(rs, levi, prod)
+        assert comps == strip_full_support(rs, levi, prod)
+        assert from_components(rs, levi, comps) == prod
+        diff = char_sub(prod, char_mul(c, d))
+        comps = decompose(rs, levi, diff, virtual=True)
+        assert comps == strip_full_support(rs, levi, diff, virtual=True)
+        assert from_components(rs, levi, comps) == diff
+
+
+def test_decompose_expands_no_orbit(e6, e6_full, e6_levi, monkeypatch):
+    ch = irrep_character(e6, e6_full, (0, 0, 1, 0, 0, 0))
+    expected = strip_full_support(e6, e6_levi, ch)
+
+    def refuse(*args):
+        raise AssertionError("decompose expanded a Weyl orbit")
+
+    monkeypatch.setattr(characters, "weyl_orbit", refuse)
+    monkeypatch.setattr(characters, "irrep_character", refuse)
+    assert decompose(e6, e6_levi, ch) == expected
+
+
+def test_oracles_do_not_import_decompose():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylbott"):
+            assert "decompose" not in {a.name for a in node.names}, node.lineno
+        if isinstance(node, ast.Import):
+            assert all(not a.name.startswith("weylbott") for a in node.names), node.lineno
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "decompose", node.lineno

@@ -1,6 +1,7 @@
 """Expression parsing, evaluation and the identity ledger."""
 
 import json
+import random
 
 import pytest
 
@@ -25,6 +26,8 @@ from weylbott.ledger import (
 )
 from weylbott.lie_core import Subsystem
 from weylbott.parabolic import bundle_char
+
+from oracles import from_components
 
 ZERO6 = (0,) * 6
 S = (0, 0, 0, 0, 0, 1)
@@ -187,6 +190,23 @@ def test_render_ledger_text(cayley):
     assert "FAIL  bad (iso)" in bad_text
     assert "difference:" in bad_text
     assert bad_text.strip().endswith("verdict: fail")
+
+
+def test_wrong_identities_report_their_difference(cayley):
+    # every evaluator gives a W_L-invariant character, so any difference decomposes
+    terms = sorted({t for ident in builtin_ledger() for t in ident.terms})
+    rng = random.Random(12)
+    wrong = []
+    for _ in range(20):
+        ident = Identity("wrong", "iso", tuple(rng.sample(terms, 2)))
+        res = check_identity(cayley, ident)
+        assert (res.diff_components is None) == res.passed
+        if not res.passed:
+            wrong.append(res)
+            rebuilt = from_components(cayley.rs, cayley.levi, res.diff_components)
+            assert rebuilt == res.difference, ident.terms
+    assert len(wrong) >= 15
+    assert render_ledger_text(wrong).count("difference: ") == len(wrong)
 
 
 # -- ledger files ---------------------------------------------------------------------
