@@ -4,12 +4,12 @@ A character is a finite dict {weight: multiplicity} with nonzero integer
 values.  Irreducible characters come from Freudenthal's recursion on the
 dominant cone; wedge and symmetric powers by expanding the product of
 (1 + t e^w) or 1 / (1 - t e^w) over the weights w, each to its multiplicity.
-A Weyl-invariant character is decomposed from its dominant part alone.
+One Brauer-Klimyk sum, a dotted walk per weight, decomposes both a
+Weyl-invariant character and a tensor product with an irreducible.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import comb
 from typing import Iterable
 
@@ -251,46 +251,48 @@ def power_op(c: Character, k: int, kind: str) -> Character:
 # -- decomposition -------------------------------------------------------
 
 
+def brauer_klimyk(rs: RootSystem, sub: Subsystem, c: Character, top: Weight) -> Character:
+    """V_top (x) c for a sub-Weyl-invariant c, as {highest weight: coefficient}.
+
+    Each weight mu of c with multiplicity m adds (-1)^l m at the dotted-dominant
+    conjugate of top + mu, of length l, or nothing when top + mu + rho is
+    singular.  The dimensions of the result must add up to dim c * dim V_top.
+    """
+    acc: Character = {}
+    for mu, m in c.items():
+        res = rs.dotted_to_dominant(sub, tuple(x + y for x, y in zip(top, mu)))
+        if res is None:
+            continue
+        count, w = res
+        n = acc.get(w, 0) + (-m if count % 2 else m)
+        if n:
+            acc[w] = n
+        else:
+            acc.pop(w, None)
+    total = sum(k * weyl_dim(rs, sub, w) for w, k in acc.items())
+    expected = char_dim(c) * weyl_dim(rs, sub, top)
+    if total != expected:
+        raise EngineError(f"rank bookkeeping failed for V{top} (x) a character of dimension {char_dim(c)}: {total} != {expected}")
+    return acc
+
+
 def decompose(
     rs: RootSystem, sub: Subsystem, c: Character, virtual: bool = False
 ) -> list[tuple[Weight, int]]:
     """Write a character as a sum of irreducibles, lowest weight first.
 
-    A sub-Weyl-invariant character is fixed by its sub-dominant part, so after
-    one invariance check (each weight has the multiplicity of its dominant
-    conjugate, and each orbit is whole) only that part is stripped, highest
-    weight in (height, lex) order first.  Unless `virtual` is set, each stripped
-    multiplicity must be positive.
+    c must be fixed by each simple reflection of sub; then it is the
+    Brauer-Klimyk sum with top 0.  Unless `virtual` is set, every coefficient
+    must be positive.
     """
-    work = {w: m for w, m in c.items() if m}
-    counts: dict[Weight, int] = {}  # dominant weight -> its conjugates in the support
-    for w, m in work.items():
-        d = rs.make_dominant(sub, w)[1]
-        if work.get(d, 0) != m:
-            raise NotDecomposable(f"weight {w} has multiplicity {m}, its dominant conjugate {d} has {work.get(d, 0)}")
-        counts[d] = counts.get(d, 0) + 1
-    for d, n in counts.items():
-        if n != orbit_size(rs, sub, d):
-            raise NotDecomposable(f"only {n} of the {orbit_size(rs, sub, d)} conjugates of {d} are weights")
-    dom = {d: work[d] for d in counts}
-    # max-heap on (height, lex); entries of weights stripped or cancelled are skipped
-    heap = [(-rs.height_of(w), [-x for x in w], w) for w in dom]
-    heapify(heap)
-    out: list[tuple[Weight, int]] = []
-    while heap:
-        mu = heappop(heap)[2]
-        m = dom.get(mu)
-        if m is None:
-            continue
+    for mu, m in c.items():
+        for i in sub.nodes:
+            if mu[i - 1]:
+                n = c.get(rs.reflect(i, mu), 0)
+                if n != m:
+                    raise NotDecomposable(f"weight {mu} has multiplicity {m}, its reflection at node {i} has {n}")
+    out = sorted(brauer_klimyk(rs, sub, c, (0,) * rs.rank).items(), key=lambda t: rs.sort_key(t[0]))
+    for w, m in out:
         if m < 0 and not virtual:
-            raise NotDecomposable(f"highest remaining weight {mu} has negative multiplicity {m}")
-        for nu, k in _freudenthal(rs, sub, mu, _dominant_weights(rs, sub, mu)).items():
-            if nu not in dom:
-                heappush(heap, (-rs.height_of(nu), [-x for x in nu], nu))
-            n = dom.get(nu, 0) - m * k
-            if n:
-                dom[nu] = n
-            else:
-                del dom[nu]
-        out.append((mu, m))
-    return out[::-1]
+            raise NotDecomposable(f"component {w} has negative multiplicity {m}")
+    return out

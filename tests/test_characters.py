@@ -345,6 +345,9 @@ def test_decompose_rejects_virtual(e6, e6_levi):
     s = irrep_character(e6, e6_levi, W[5])
     virt = char_sub(s, char_scale({ZERO6: 1}, 2))
     assert decompose(e6, e6_levi, virt, virtual=True) == [(ZERO6, -2), (W[5], 1)]
+    # invariant, so only the negative coefficient refuses it
+    with pytest.raises(NotDecomposable, match="negative multiplicity -2"):
+        decompose(e6, e6_levi, virt)
 
 
 def test_decompose_rejects_asymmetric(e6, e6_levi):
@@ -371,8 +374,8 @@ def test_decompose_rejects_asymmetric(e6, e6_levi):
         assert decompose(e6, e6_levi, padded, virtual=virtual) == [(W[5], 1)]
 
 
-# The engine strips the dominant cone only; tests/oracles.py strips the whole
-# support with orbit-expanded characters, as the engine did before.
+# The engine sums one dotted walk per weight (Brauer-Klimyk); tests/oracles.py
+# strips the whole support with orbit-expanded characters, highest weight first.
 
 E6_SMALL_DOMINANT = [
     tuple(1 if i in ones else 0 for i in range(6))
@@ -415,19 +418,21 @@ def test_decompose_expands_no_orbit(e6, e6_full, e6_levi, monkeypatch):
     expected = strip_full_support(e6, e6_levi, ch)
 
     def refuse(*args):
-        raise AssertionError("decompose expanded a Weyl orbit")
+        raise AssertionError("decompose expanded a Weyl orbit or ran Freudenthal")
 
-    monkeypatch.setattr(characters, "weyl_orbit", refuse)
-    monkeypatch.setattr(characters, "irrep_character", refuse)
+    for name in ("weyl_orbit", "irrep_character", "_dominant_weights", "_freudenthal"):
+        monkeypatch.setattr(characters, name, refuse)
     assert decompose(e6, e6_levi, ch) == expected
 
 
 def test_oracles_do_not_import_decompose():
+    # neither decompose nor the Brauer-Klimyk sum it shares with levi_tensor
+    engine = {"decompose", "brauer_klimyk"}
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylbott"):
-            assert "decompose" not in {a.name for a in node.names}, node.lineno
+            assert not engine & {a.name for a in node.names}, node.lineno
         if isinstance(node, ast.Import):
             assert all(not a.name.startswith("weylbott") for a in node.names), node.lineno
         if isinstance(node, ast.Attribute):
-            assert node.attr != "decompose", node.lineno
+            assert node.attr not in engine, node.lineno

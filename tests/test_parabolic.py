@@ -216,24 +216,33 @@ def test_branch_rank_bookkeeping(cayley, e6, e6_full):
         assert graded_rank(cayley, comps) == weyl_dim(e6, e6_full, lam)
 
 
-# An off-by-one weyl_dim must still trip the rank bookkeeping in levi_tensor
-# when asserts are stripped.
+# An off-by-one weyl_dim must still trip the rank bookkeeping of the shared
+# Brauer-Klimyk sum, for levi_tensor and for decompose, when asserts are stripped.
 _FAULT_UNDER_O = """
 import sys
+import weylbott.characters as characters
 import weylbott.parabolic as parabolic
-from weylbott import EngineError, RootSystem, get_preset
+from weylbott import EngineError, RootSystem, Subsystem, get_preset
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-true_dim = parabolic.weyl_dim
-parabolic.weyl_dim = lambda rs, sub, lam: true_dim(rs, sub, lam) + 1
-setup = parabolic.make_setup(RootSystem(get_preset("E6-paper")), 1)
-try:
-    parabolic.levi_tensor(setup, (-1, 0, 0, 0, 0, 1), (-1, 0, 0, 0, 0, 1))
-except EngineError as exc:
-    print(exc)
-else:
-    sys.exit("levi_tensor accepted a wrong rank")
+true_dim = characters.weyl_dim
+characters.weyl_dim = lambda rs, sub, lam: true_dim(rs, sub, lam) + 1
+rs = RootSystem(get_preset("E6-paper"))
+setup = parabolic.make_setup(rs, 1)
+s_dual = (-1, 0, 0, 0, 0, 1)
+v27 = characters.irrep_character(rs, Subsystem.full(6), (0, 0, 0, 0, 0, 1))
+calls = {
+    "levi_tensor": lambda: parabolic.levi_tensor(setup, s_dual, s_dual),
+    "decompose": lambda: characters.decompose(rs, setup.levi, v27),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except EngineError as exc:
+        print(name, exc)
+    else:
+        sys.exit(f"{name} accepted a wrong rank")
 """
 
 
@@ -247,7 +256,9 @@ def test_levi_tensor_invariants_survive_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "rank bookkeeping failed" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["levi_tensor", "decompose"]
+    assert all("rank bookkeeping failed" in line for line in lines), lines
 
 
 def test_no_assert_in_src():
