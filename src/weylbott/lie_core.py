@@ -4,6 +4,9 @@ A weight is a tuple of integers: its pairings with the simple coroots.
 Column j of the Cartan matrix is then the coordinate vector of the
 simple root alpha_j, so reflections, root generation and dominance
 tests are all integer arithmetic on tuples.  Nodes are numbered 1..n.
+The positive-root closure decides finite type: RootSystem raises
+NotFiniteType when it passes n^2 + 56 roots, which no finite type of
+rank n exceeds.
 """
 
 from __future__ import annotations
@@ -11,10 +14,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Iterable, Optional
 
-from .errors import EngineError, NotDominant, NotFiniteType
+from .errors import NotDominant, NotFiniteType
 
 Weight = tuple[int, ...]
 
@@ -58,47 +60,26 @@ class CartanMatrix:
 def _symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
     """Coprime positive integers d with d_i * a_ij symmetric, by graph propagation.
 
-    Raises NotFiniteType when no consistent choice exists.
+    Called only once the root closure has shown finite type: each component is
+    then a tree with at most one multiple edge, of weight 2 or 3, so starting
+    it at 6 makes every step d_j = d_i a_ij / a_ji an exact integer division.
     """
     n = cartan.rank
     a = cartan.entries
-    d: list[Optional[Q]] = [None] * n
+    d: list[Optional[int]] = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Q(1)
+        d[start] = 6
         queue = deque([start])
         while queue:
             i = queue.popleft()
             for j in range(n):
-                if i == j or a[i][j] == 0:
-                    continue
-                # d_i a_ij = d_j a_ji fixes d_j from d_i.
-                want = d[i] * a[i][j] / a[j][i]
-                if d[j] is None:
-                    d[j] = want
+                if a[i][j] and d[j] is None:
+                    d[j] = d[i] * a[i][j] // a[j][i]
                     queue.append(j)
-                elif d[j] != want:
-                    raise NotFiniteType("Cartan matrix is not symmetrizable")
-    lcm = math.lcm(*(x.denominator for x in d))
-    scaled = [int(x * lcm) for x in d]
-    g = math.gcd(*scaled)
-    return tuple(x // g for x in scaled)
-
-
-def _is_positive_definite(cartan: CartanMatrix, d: tuple[int, ...]) -> bool:
-    """Sylvester criterion for the symmetrized matrix, in exact arithmetic."""
-    n = cartan.rank
-    m = [[Q(d[i] * cartan.entries[i][j]) for j in range(n)] for i in range(n)]
-    # Fraction Gaussian elimination; all leading pivots must stay positive.
-    for k in range(n):
-        if m[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return True
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 @dataclass(frozen=True)
@@ -137,9 +118,6 @@ class RootSystem:
     def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan
         self.rank = cartan.rank
-        self.symmetrizer_int: tuple[int, ...] = _symmetrizer(cartan)
-        if not _is_positive_definite(cartan, self.symmetrizer_int):
-            raise NotFiniteType("symmetrized Cartan matrix is not positive definite")
         self.rho: Weight = (1,) * self.rank
         # Sparse columns: for node i (1-based), the nonzero (j0, a_j0i) pairs.
         self._columns: tuple[tuple[tuple[int, int], ...], ...] = tuple(
@@ -147,6 +125,7 @@ class RootSystem:
             for i in range(self.rank)
         )
         self.positive_roots: tuple[PositiveRoot, ...] = self._generate()
+        self.symmetrizer_int: tuple[int, ...] = _symmetrizer(cartan)
         # 2 rho^vee, the sum of the positive coroots: <alpha_i, 2 rho^vee> = 2
         # for every simple root, so <lam, 2 rho^vee> is twice the height of lam.
         self.two_rho_vee: Weight = tuple(
@@ -162,55 +141,54 @@ class RootSystem:
     # -- construction -------------------------------------------------
 
     def _generate(self) -> tuple[PositiveRoot, ...]:
+        """Close the simple roots under the simple reflections, keeping the
+        positive ones; each root carries its weight and its coroot along.
+
+        A generalized Cartan matrix is of finite type exactly when its Weyl
+        group, and so its set of real roots, is finite (Kac, ch. 4).  So the
+        closure is the finite-type test: it stops at a bound that no finite type
+        passes.  A connected finite type of rank k has at most k^2 positive
+        roots, or k^2 + 14, 56, 8, 2 for E7, E8, F4, G2; components add, and the
+        cross terms of n^2 cover any second exceptional component.
+        """
         n = self.rank
-        # Safety stop: a connected finite type of rank k has at most k^2 positive
-        # roots, or k^2 + 14, 56, 8, 2 for E7, E8, F4, G2; components add, and the
-        # cross terms of n^2 cover any second exceptional component.
         max_roots = n * n + 56
-        seen: dict[Weight, Weight] = {}
+        # simple coordinates -> (weight, coroot in the simple coroots)
+        seen: dict[Weight, tuple[Weight, Weight]] = {}
         queue: deque[Weight] = deque()
         for j in range(n):
-            coords = tuple(1 if k == j else 0 for k in range(n))
-            seen[coords] = self.cartan.column(j + 1)
-            queue.append(coords)
+            unit = tuple(1 if k == j else 0 for k in range(n))
+            seen[unit] = (self.cartan.column(j + 1), unit)
+            queue.append(unit)
         while queue:
             coords = queue.popleft()
-            weight = seen[coords]
+            weight, coroot = seen[coords]
             for i in range(n):
                 c = weight[i]
-                if c == 0:
+                if c == 0 or coords[i] < c:
                     continue
-                new_coords = tuple(
-                    coords[k] - c if k == i else coords[k] for k in range(n)
-                )
-                if any(x < 0 for x in new_coords) or all(x == 0 for x in new_coords):
-                    continue
+                new_coords = coords[:i] + (coords[i] - c,) + coords[i + 1:]
                 if new_coords in seen:
                     continue
+                # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i and
+                # s_i(beta^vee) = beta^vee - <alpha_i, beta^vee> alpha_i^vee.
                 new_weight = list(weight)
+                pairing = 0
                 for j0, a in self._columns[i]:
                     new_weight[j0] -= c * a
-                seen[new_coords] = tuple(new_weight)
+                    pairing += coroot[j0] * a
+                new_coroot = list(coroot)
+                new_coroot[i] -= pairing
+                seen[new_coords] = (tuple(new_weight), tuple(new_coroot))
                 queue.append(new_coords)
                 if len(seen) > max_roots:
-                    raise NotFiniteType("positive-root closure exceeded the safety bound")
-        roots = []
-        for coords, weight in seen.items():
-            roots.append(PositiveRoot(weight, coords, self._coroot(coords, weight)))
+                    raise NotFiniteType(
+                        f"Cartan matrix is not of finite type: its positive-root "
+                        f"closure passed {n}^2 + 56 = {max_roots} roots"
+                    )
+        roots = [PositiveRoot(w, coords, cv) for coords, (w, cv) in seen.items()]
         roots.sort(key=lambda r: (r.height, r.simple_coords))
         return tuple(roots)
-
-    def _coroot(self, coords: Weight, weight: Weight) -> Weight:
-        """alpha^vee = 2 alpha / (alpha, alpha) in the simple coroots."""
-        d = self.symmetrizer_int
-        norm = sum(c * di * w for c, di, w in zip(coords, d, weight))
-        out = []
-        for c, di in zip(coords, d):
-            e, rem = divmod(2 * c * di, norm)
-            if rem:
-                raise EngineError(f"coroot of the root {coords} is not integral")
-            out.append(e)
-        return tuple(out)
 
     # -- subsystem plumbing -------------------------------------------
 

@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import importlib.resources
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -287,6 +289,46 @@ def test_cartan_file_type_a46(capsys, tmp_path):
     assert out.strip() == "47"
 
 
+# -- known-answer corpus ------------------------------------------------------------
+
+CORPUS = Path(__file__).parent / "collections"
+
+# Kapranov's collection (Sigma^alpha U^*) on Gr(k, n), alpha in the k x (n-k) box,
+# and the violations of its reversed order
+KAPRANOV = [(2, 4, 14), (2, 5, 40), (2, 6, 90), (3, 6, 155), (2, 7, 175), (3, 7, 455)]
+
+
+def _kapranov_weights(k, n):
+    """E_w on A_{n-1}/P_k: w_i = a_i - a_{i+1} for i < k, w_k = a_k, by |a| then a descending."""
+    box = [a for a in itertools.product(range(n - k + 1), repeat=k) if list(a) == sorted(a, reverse=True)]
+    box.sort(key=lambda a: (sum(a), [-x for x in a]))
+    return [[a[i] - a[i + 1] for i in range(k - 1)] + [a[-1]] + [0] * (n - 1 - k) for a in box]
+
+
+@pytest.mark.parametrize("k,n,reversed_violations", KAPRANOV, ids=[f"gr{k}-{n}" for k, n, _ in KAPRANOV])
+def test_kapranov_corpus(capsys, tmp_path, registry, k, n, reversed_violations):
+    path = CORPUS / f"kapranov-gr{k}-{n}.json"
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert [b["weight"] for b in obj["bundles"]] == _kapranov_weights(k, n)
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 0
+    assert report["verdict"] == "pass"
+    size = report["size"]
+    assert size == len(report["collection"]["bundles"]) == math.comb(n, k)
+    # "tables" is checked item by item: the pairs exactly here, and each distinct
+    # table once by the schema (Gr(3,7) has 1225 pairs but 81 distinct tables)
+    pairs = [[i, j] for i in range(1, size + 1) for j in range(1, size + 1)]
+    assert [t["pair"] for t in report["tables"]] == pairs
+    distinct = {json.dumps(t["table"], sort_keys=True): t for t in report["tables"]}
+    validate({**report, "tables": list(distinct.values())}, "report.json", registry)
+    obj["bundles"].reverse()
+    reversed_path = tmp_path / "reversed.json"
+    reversed_path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(reversed_path))
+    assert code == 1
+    assert f" {reversed_violations} violation(s), verdict FAIL" in out.splitlines()[0]
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 BUNDLE_ARGS = {
@@ -323,6 +365,16 @@ def test_exit_engine_error(capsys):
     code, _, err = run(capsys, "dim", "--preset", "A2", "--weight=0,-1")
     assert code == 3
     assert "dominant" in err
+
+
+def test_exit_not_finite_type(capsys, tmp_path):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"rank": 2, "entries": [[2, -2], [-2, 2]]}))
+    code, out, err = run(capsys, "dim", "--preset", str(path), "--weight=0,0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not of finite type" in err
 
 
 def test_exit_missing_file(capsys):

@@ -1,10 +1,12 @@
 """Root generation, reflections, dominance walks and duality."""
 
+import math
 import random
 
 import pytest
 
 from weylbott import CartanMatrix, RootSystem, Subsystem, get_preset, preset_names
+from weylbott.characters import orbit_size
 from weylbott.errors import NotDominant, NotFiniteType
 from weylbott.presets import cartan_from_obj, cartan_to_obj
 
@@ -93,13 +95,93 @@ def test_height_of_is_twice_the_height(cartan):
     assert rs.height_of(rs.rho) == sum(r.height for r in rs.positive_roots)
 
 
+# -- the finite-type table ---------------------------------------------------
+
+
+def _diagram(n, edges):
+    """Cartan rows of rank n; an edge (i, j, m) sets a_ij = -1 and a_ji = -m."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, m in edges:
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = -1, -m
+    return rows
+
+
+def _chain(n, kind="A"):
+    # the double edge of B_n makes node n short, as in the B4 preset; C_n is its transpose
+    last = {"A": (n - 1, n, 1), "B": (n - 1, n, 2), "C": (n, n - 1, 2)}[kind]
+    return _diagram(n, [(i, i + 1, 1) for i in range(1, n - 1)] + [last] * (n > 1))
+
+
+def _d(n):
+    return _diagram(n, [(i, i + 1, 1) for i in range(1, n - 1)] + [(n - 2, n, 1)])
+
+
+def _e(n):
+    return _diagram(n, [(1, 3, 1), (3, 4, 1), (2, 4, 1)] + [(i, i + 1, 1) for i in range(4, n)])
+
+
+def _direct_sum(a, b):
+    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+
+
+F4_ROWS = _diagram(4, [(1, 2, 1), (2, 3, 2), (3, 4, 1)])
+G2_ROWS = _diagram(2, [(1, 2, 3)])
+
+# (label, rows, positive roots, |W|)
+FINITE_TYPES = (
+    [(f"A{n}", _chain(n), n * (n + 1) // 2, math.factorial(n + 1)) for n in range(1, 9)]
+    + [(f"B{n}", _chain(n, "B"), n * n, 2**n * math.factorial(n)) for n in range(2, 9)]
+    + [(f"C{n}", _chain(n, "C"), n * n, 2**n * math.factorial(n)) for n in range(3, 9)]
+    + [(f"D{n}", _d(n), n * (n - 1), 2 ** (n - 1) * math.factorial(n)) for n in range(4, 9)]
+    # E8 sits exactly on the closure's stop n^2 + 56, which raises only past it
+    + [("E6", _e(6), 36, 51840), ("E7", _e(7), 63, 2903040), ("E8", _e(8), 8**2 + 56, 696729600)]
+    + [("F4", F4_ROWS, 24, 1152), ("G2", G2_ROWS, 6, 12)]
+    + [("E8xE8", _direct_sum(_e(8), _e(8)), 240, 696729600**2)]
+    + [("B3xG2", _direct_sum(_chain(3, "B"), G2_ROWS), 15, 48 * 12)]
+)
+
+
+def _oracle_coroot(coords, weight, d):
+    """alpha^vee = 2 alpha / (alpha, alpha) in the simple coroots, (alpha_i, alpha_j) = d_i a_ij."""
+    norm = sum(c * di * w for c, di, w in zip(coords, d, weight))
+    out = []
+    for c, di in zip(coords, d):
+        e, rem = divmod(2 * c * di, norm)
+        assert rem == 0, f"coroot of {coords} is not integral"
+        out.append(e)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "rows,count,order", [t[1:] for t in FINITE_TYPES], ids=[t[0] for t in FINITE_TYPES]
+)
+def test_finite_type_table(rows, count, order):
+    rs = RootSystem(CartanMatrix.from_rows(rows))
+    n = rs.rank
+    assert len(rs.positive_roots) == count
+    assert orbit_size(rs, Subsystem.full(n), rs.rho) == order
+    d = rs.symmetrizer_int
+    assert math.gcd(*d) == 1 and min(d) > 0
+    assert all(d[i] * rows[i][j] == d[j] * rows[j][i] for i in range(n) for j in range(n))
+    for r in rs.positive_roots:
+        assert r.coroot == _oracle_coroot(r.simple_coords, r.weight, d)
+
+
+NOT_FINITE = {
+    "affine-A1": [[2, -2], [-2, 2]],
+    "hyperbolic": [[2, -3], [-3, 2]],
+    "affine-E8": _e(9),  # the E8 chain extended by a ninth node
+    "affine-G2": _diagram(3, [(1, 2, 1), (2, 3, 3)]),
+    "affine-A2": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    "not-symmetrizable": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],
+    "affine-A45": _diagram(46, [(i, i % 46 + 1, 1) for i in range(1, 47)]),  # a 46-cycle
+}
+
+
 def test_not_finite_type_rejected():
-    affine = CartanMatrix.from_rows([[2, -2], [-2, 2]])
-    with pytest.raises(NotFiniteType):
-        RootSystem(affine)
-    hyperbolic = CartanMatrix.from_rows([[2, -3], [-3, 2]])
-    with pytest.raises(NotFiniteType):
-        RootSystem(hyperbolic)
+    for rows in NOT_FINITE.values():
+        with pytest.raises(NotFiniteType, match="not of finite type"):
+            RootSystem(CartanMatrix.from_rows(rows))
 
 
 def test_invalid_cartan_rejected():

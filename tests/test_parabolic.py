@@ -287,3 +287,21 @@ def test_no_unused_import_in_src():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used - {"annotations"})]
     assert unused == []
+
+
+def test_src_is_integer_only():
+    # no rational or decimal arithmetic and no true division anywhere in the engine
+    found = []
+    for path in sorted(Path(weylbott.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] in ("fractions", "decimal") for m in modules):
+                found.append(f"{path.name}:{node.lineno} imports {', '.join(modules)}")
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno} divides with /")
+    assert found == []
