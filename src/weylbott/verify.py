@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bbw import ExtTable, ext_table
+from .errors import EngineError
 from .lie_core import RootSystem, Subsystem, Weight
 from .parabolic import ParabolicSetup, check_bundle, make_setup, twist
 from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, require_keys
@@ -234,7 +235,7 @@ def report_to_obj(report: VerificationReport) -> dict:
     """The canonical certificate; it never carries the elapsed time.
 
     Pairs of one twist class share a table object, converted once here;
-    json.dumps writes a shared object once per place it appears."""
+    report_to_json encodes each shared object once."""
     coll = report.collection
     n = len(coll.bundles)
     distinct = {id(t): t for t in report.tables}
@@ -262,7 +263,28 @@ def report_to_obj(report: VerificationReport) -> dict:
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_obj(report), sort_keys=True, indent=2)
+    """The certificate text, byte for byte json.dumps(report_to_obj(report),
+    sort_keys=True, indent=2), with each distinct table encoded once.
+
+    Every table sits at depth 3 (root, "tables", entry), so its own
+    indented dump lands there once each continuation line gains 6 spaces.
+    The report is dumped with null for each table and the texts go in at
+    '"table": null', which no string can hold: JSON escapes its quotes."""
+    obj = report_to_obj(report)
+    texts: dict[int, str] = {}
+    spliced = []
+    for entry in obj["tables"]:
+        table, entry["table"] = entry["table"], None
+        if id(table) not in texts:
+            texts[id(table)] = json.dumps(table, sort_keys=True, indent=2).replace("\n", "\n      ")
+        spliced.append(texts[id(table)])
+    parts = json.dumps(obj, sort_keys=True, indent=2).split('"table": null')
+    if not len(parts) - 1 == len(spliced) == report.pairs_checked:
+        raise EngineError(
+            f"certificate splice failed: {len(parts) - 1} table places, "
+            f"{len(spliced)} tables, {report.pairs_checked} pairs"
+        )
+    return "".join(p + '"table": ' + t for p, t in zip(parts, spliced)) + parts[-1]
 
 
 def render_report_text(report: VerificationReport) -> str:

@@ -1,11 +1,16 @@
 """End-to-end strong-exceptionality verification and report serialization."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import weylbott
 import weylbott.bbw as bbw
 from weylbott import RootSystem, get_preset
 from weylbott.bbw import ext_table
@@ -193,12 +198,32 @@ def naive_report(coll: Collection) -> VerificationReport:
     return VerificationReport(coll, tables, violations)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [partial(builtin_collection, "cayley27"), partial(builtin_collection, "kapranovQ7")]
-    + [partial(twisted_collection, p, c, seed) for p, c in TWIST_SETUPS for seed in (1, 2)],
-    ids=["cayley27", "kapranovQ7"] + [f"{p}-P{c}-seed{seed}" for p, c in TWIST_SETUPS for seed in (1, 2)],
-)
+def plain_dump(report: VerificationReport) -> str:
+    """The certificate as the stock encoder writes it, every table in full at
+    every pair: the oracle for report_to_json's splice."""
+    return json.dumps(report_to_obj(report), sort_keys=True, indent=2)
+
+
+def reversed_cayley27() -> Collection:
+    coll = builtin_collection("cayley27")
+    return Collection("reversed", coll.setup, tuple(reversed(coll.bundles)))
+
+
+CORPUS = sorted((Path(__file__).parent / "collections").glob("kapranov-*.json"))
+CERTIFIED = {
+    "cayley27": partial(builtin_collection, "cayley27"),
+    "kapranovQ7": partial(builtin_collection, "kapranovQ7"),
+    "cayley27-reversed": reversed_cayley27,
+    **{path.stem: partial(load_collection, str(path)) for path in CORPUS},
+    **{
+        f"{p}-P{c}-seed{seed}": partial(twisted_collection, p, c, seed)
+        for p, c in TWIST_SETUPS
+        for seed in (1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("make", list(CERTIFIED.values()), ids=list(CERTIFIED))
 def test_memoized_report_matches_per_pair_path(make):
     coll = make()
     report = verify_strong_exceptional(coll)
@@ -207,14 +232,88 @@ def test_memoized_report_matches_per_pair_path(make):
     n = len(coll.bundles)
     differ = [divmod(k, n) for k, (x, y) in enumerate(zip(report.tables, naive.tables)) if x != y]
     assert differ == []  # 0-based (i, j) of the pairs whose tables differ
-    # compared as a bool: a diff of two megabyte strings would take minutes
+    # compared as a bool: a diff of two megabyte strings would take minutes.
+    # The plain dump is the oracle of the splice; the per-pair report shares no table.
     text = report_to_json(report)
-    same = text == report_to_json(naive)
+    same = text == plain_dump(report) == report_to_json(naive) == plain_dump(naive)
     assert same, "the certificates differ"
     # each pair's entry as converted on its own, so a serializer that hands
     # a pair the wrong shared object fails even where no sha256 is pinned
     own = [ext_table_to_obj(coll.setup, t) for t in naive.tables]
     assert [e["table"] for e in json.loads(text)["tables"]] == own
+
+
+# Text the splice must not mistake for its own markers, in a name.
+ADVERSARIAL_NAMES = [
+    '"table": null',
+    '"table": [',
+    'a "quoted" name',
+    "back\\slash \\\"",
+    "two\nlines\n      \"table\": null",
+    "Cayley plane \U0001d546\u2119\u00b2, \u03a3^\u03b1 U*",
+]
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL_NAMES, ids=range(len(ADVERSARIAL_NAMES)))
+def test_certificate_survives_any_name(cayley, name):
+    gr24 = json.loads(CORPUS[0].read_text(encoding="utf-8"))
+    collections = [
+        Collection(name, cayley, (S_DUAL, ZERO6)),  # pass
+        Collection(name, cayley, (ZERO6, S_DUAL)),  # fail, with violations
+        collection_from_obj({**gr24, "name": name}),  # cartan form
+    ]
+    assert collections[2].preset is None
+    for coll in collections:
+        report = verify_strong_exceptional(coll)
+        text = report_to_json(report)
+        assert text == plain_dump(report)
+        assert json.loads(text) == report_to_obj(report)
+        assert json.loads(text)["collection"]["name"] == name
+
+
+# Each structural fault in what the splice is handed must raise, with asserts stripped.
+_SPLICE_FAULTS_UNDER_O = """
+import sys
+import weylbott.verify as verify
+from weylbott import EngineError
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+report = verify.verify_strong_exceptional(verify.builtin_collection("kapranovQ7"))
+true_obj = verify.report_to_obj
+faults = {
+    "extra pair": lambda obj: obj["tables"].append({"pair": [9, 9], "table": []}),
+    "missing pair": lambda obj: obj["tables"].pop(),
+    "extra place": lambda obj: obj["violations"].append({"table": None}),
+}
+for name, fault in faults.items():
+    def faulty(r, fault=fault):
+        obj = true_obj(r)
+        fault(obj)
+        return obj
+    verify.report_to_obj = faulty
+    try:
+        verify.report_to_json(report)
+    except EngineError as exc:
+        print(name, "|", exc)
+    else:
+        sys.exit(f"{name}: the splice accepted it")
+"""
+
+
+def test_certificate_splice_checks_survive_python_O():
+    src = str(Path(weylbott.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SPLICE_FAULTS_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" | ")[0] for line in lines] == ["extra pair", "missing pair", "extra place"]
+    assert all("certificate splice failed" in line for line in lines), lines
 
 
 @pytest.mark.parametrize("preset, crossed", TWIST_SETUPS)
