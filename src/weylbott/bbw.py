@@ -14,7 +14,7 @@ from typing import Optional
 
 from .characters import weyl_dim
 from .errors import EngineError
-from .lie_core import Subsystem, Weight
+from .lie_core import Weight
 from .parabolic import ParabolicSetup, bundle_dual, check_bundle, levi_tensor
 
 
@@ -34,14 +34,13 @@ class CohomologyResult:
 def cohomology(setup: ParabolicSetup, w: Weight) -> CohomologyResult:
     w = check_bundle(setup, w)
     rs = setup.rs
-    full = Subsystem.full(rs.rank)
-    res = rs.dotted_to_dominant(full, w)
+    res = rs.dotted_to_dominant(rs.full, w)
     if res is None:
         return CohomologyResult(None, None, 0)
     length, g = res
     if not 0 <= length <= setup.dim_x:
         raise EngineError(f"cohomology degree {length} of {w} outside 0..{setup.dim_x}")
-    return CohomologyResult(length, g, weyl_dim(rs, full, g))
+    return CohomologyResult(length, g, weyl_dim(rs, rs.full, g))
 
 
 @dataclass(frozen=True)

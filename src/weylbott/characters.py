@@ -11,7 +11,8 @@ Weyl-invariant character and a tensor product with an irreducible.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable
+from operator import mul
+from typing import Iterable, NoReturn
 
 from .errors import EngineError, GuardrailExceeded, NotDecomposable
 from .lie_core import RootSystem, Subsystem, Weight
@@ -32,36 +33,44 @@ def _guard(size: int) -> None:
 
 
 def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
-    """Dimension of the irreducible with highest weight lam, by the Weyl product."""
-    lam = rs.require_dominant(sub, lam)
-    key = (sub.nodes, lam)
-    q = rs.dim_memo.get(key)
+    """Dimension of the irreducible with highest weight lam, by the Weyl product.
+
+    The memo holds only validated keys, so a tuple is looked up before it is
+    checked; any other sequence is checked, and so made a tuple, first."""
+    q = rs.dim_memo.get((sub.nodes, lam)) if type(lam) is tuple else None
     if q is None:
+        lam = rs.require_dominant(sub, lam)
+        shifted = [x + 1 for x in lam]  # lam + rho
         num = 1
         den = 1
         for r in rs.sub_positive_roots(sub):
-            num *= sum(e * (x + 1) for e, x in zip(r.coroot, lam))
+            num *= sum(map(mul, r.coroot, shifted))
             den *= sum(r.coroot)
         q, rem = divmod(num, den)
         if rem:
             raise EngineError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
-        rs.dim_memo[key] = q
+        rs.dim_memo[(sub.nodes, lam)] = q
     return q
 
 
 def weyl_orbit(rs: RootSystem, sub: Subsystem, lam: Weight) -> list[Weight]:
-    """The sub-Weyl orbit of lam, deterministically ordered."""
-    lam = rs.check_rank(lam)
-    seen = {lam}
-    queue = [lam]
+    """The sub-Weyl orbit of lam, deterministically ordered.
+
+    Walking down from the dominant conjugate, a reflection at a node where the
+    coordinate is positive reaches every element: each one walks back up to
+    the top by reflections at negative coordinates."""
+    _, top = rs.make_dominant(sub, rs.check_rank(lam))
+    seen = {top}
+    queue = [top]
     while queue:
         w = queue.pop()
         for i in sub.nodes:
-            nw = rs.reflect(i, w)
-            if nw not in seen:
-                _guard(len(seen) + 1)
-                seen.add(nw)
-                queue.append(nw)
+            if w[i - 1] > 0:
+                nw = rs.reflect(i, w)
+                if nw not in seen:
+                    _guard(len(seen) + 1)
+                    seen.add(nw)
+                    queue.append(nw)
     return sorted(seen)
 
 
@@ -258,22 +267,32 @@ def brauer_klimyk(rs: RootSystem, sub: Subsystem, c: Character, top: Weight) -> 
     conjugate of top + mu, of length l, or nothing when top + mu + rho is
     singular.  The dimensions of the result must add up to dim c * dim V_top.
     """
+    walk = rs._walk
+    index = sub.index
+    shifted = [x + 1 for x in top]  # top + rho
     acc: Character = {}
     for mu, m in c.items():
-        res = rs.dotted_to_dominant(sub, tuple(x + y for x, y in zip(top, mu)))
-        if res is None:
-            continue
-        count, w = res
-        n = acc.get(w, 0) + (-m if count % 2 else m)
-        if n:
-            acc[w] = n
+        cur = [x + y for x, y in zip(shifted, mu)]
+        count = walk(index, cur)
+        for i in index:
+            if cur[i] == 0:
+                break
         else:
-            acc.pop(w, None)
+            w = tuple([x - 1 for x in cur])
+            n = acc.get(w, 0) + (-m if count & 1 else m)
+            if n:
+                acc[w] = n
+            else:
+                acc.pop(w, None)
     total = sum(k * weyl_dim(rs, sub, w) for w, k in acc.items())
     expected = char_dim(c) * weyl_dim(rs, sub, top)
     if total != expected:
         raise EngineError(f"rank bookkeeping failed for V{top} (x) a character of dimension {char_dim(c)}: {total} != {expected}")
     return acc
+
+
+def _not_fixed(mu: Weight, m: int, i: int, n: int) -> NoReturn:
+    raise NotDecomposable(f"weight {mu} has multiplicity {m}, its reflection at node {i + 1} has {n}")
 
 
 def decompose(
@@ -285,12 +304,29 @@ def decompose(
     Brauer-Klimyk sum with top 0.  Unless `virtual` is set, every coefficient
     must be positive.
     """
+    # s_i swaps the weights above the wall of node i with those below it; checking
+    # the ones above, and that as many lie below, checks them all with half the
+    # lookups.  A zero entry is checked from the side of its mirror.
+    below = [0] * rs.rank
     for mu, m in c.items():
-        for i in sub.nodes:
-            if mu[i - 1]:
-                n = c.get(rs.reflect(i, mu), 0)
+        if not m:
+            continue
+        for i in sub.index:
+            k = mu[i]
+            if k > 0:
+                n = c.get(rs.reflect(i + 1, mu), 0)
                 if n != m:
-                    raise NotDecomposable(f"weight {mu} has multiplicity {m}, its reflection at node {i} has {n}")
+                    _not_fixed(mu, m, i, n)
+                below[i] -= 1
+            elif k:
+                below[i] += 1
+    for i in sub.index:
+        if below[i]:  # some weight below the wall has no mirror above it
+            for mu, m in c.items():
+                if m and mu[i] < 0:
+                    n = c.get(rs.reflect(i + 1, mu), 0)
+                    if n != m:
+                        _not_fixed(mu, m, i, n)
     out = sorted(brauer_klimyk(rs, sub, c, (0,) * rs.rank).items(), key=lambda t: rs.sort_key(t[0]))
     for w, m in out:
         if m < 0 and not virtual:

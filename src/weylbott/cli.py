@@ -65,7 +65,7 @@ def _subsystem(args) -> tuple[RootSystem, Subsystem]:
     """The full system unless --crossed names a node, then its Levi."""
     rs = _root_system(args)
     if args.crossed is None:
-        return rs, Subsystem.full(rs.rank)
+        return rs, rs.full
     return rs, Subsystem.levi(rs.rank, args.crossed)
 
 

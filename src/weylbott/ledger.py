@@ -43,7 +43,7 @@ from .characters import (
     weight_mults_obj,
 )
 from .errors import ParseError
-from .lie_core import Subsystem, Weight
+from .lie_core import Weight
 from .parabolic import ParabolicSetup, bundle_char
 from .presets import require_keys
 
@@ -65,9 +65,7 @@ def _irr(weight: Weight) -> Evaluator:
 
 
 def _rep(weight: Weight) -> Evaluator:
-    return lambda setup: irrep_character(
-        setup.rs, Subsystem.full(setup.rs.rank), setup.rs.check_rank(weight)
-    )
+    return lambda setup: irrep_character(setup.rs, setup.rs.full, setup.rs.check_rank(weight))
 
 
 def _triv(setup: ParabolicSetup) -> Character:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import NotDominant, NotFiniteType
@@ -100,6 +100,11 @@ class Subsystem:
     """Simple nodes (1-based) in increasing order, closed under nothing: just a label set."""
 
     nodes: tuple[int, ...]
+    # The same nodes zero-based, as the Weyl walks index weights.
+    index: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", tuple(i - 1 for i in self.nodes))
 
     @classmethod
     def full(cls, rank: int) -> "Subsystem":
@@ -119,6 +124,7 @@ class RootSystem:
         self.cartan = cartan
         self.rank = cartan.rank
         self.rho: Weight = (1,) * self.rank
+        self.full = Subsystem.full(self.rank)  # built once; every full-system caller shares it
         # Sparse columns: for node i (1-based), the nonzero (j0, a_j0i) pairs.
         self._columns: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((j, cartan.entries[j][i]) for j in range(self.rank) if cartan.entries[j][i] != 0)
@@ -206,10 +212,13 @@ class RootSystem:
         return cached
 
     def is_dominant(self, sub: Subsystem, lam: Weight) -> bool:
-        return all(lam[i - 1] >= 0 for i in sub.nodes)
+        for i in sub.index:
+            if lam[i] < 0:
+                return False
+        return True
 
     def check_rank(self, lam: Weight) -> Weight:
-        lam = tuple(int(x) for x in lam)
+        lam = tuple(map(int, lam))
         if len(lam) != self.rank:
             raise ValueError(f"weight has length {len(lam)}, expected {self.rank}")
         return lam
@@ -233,25 +242,31 @@ class RootSystem:
             out[j0] -= c * a
         return tuple(out)
 
-    def make_dominant(self, sub: Subsystem, lam: Weight) -> tuple[int, Weight]:
-        """Dominant representative of the sub-Weyl orbit and reflections used.
+    def _walk(self, index: tuple[int, ...], cur: list[int]) -> int:
+        """Reflect cur in place at the lowest-index negative node of index
+        (zero-based) until none is negative; return the reflections made.
 
-        Always reflects at the lowest-index negative node, so the count is
-        reproducible; on regular orbits it equals the Weyl-group length of
-        the minimal word.
+        The lowest-index rule makes the count reproducible; on regular orbits
+        it equals the Weyl-group length of the minimal word.
         """
-        cur = list(lam)
+        columns = self._columns
         count = 0
         while True:
-            for i in sub.nodes:
-                c = cur[i - 1]
+            for i in index:
+                c = cur[i]
                 if c < 0:
-                    for j0, a in self._columns[i - 1]:
+                    for j0, a in columns[i]:
                         cur[j0] -= c * a
                     count += 1
                     break
             else:
-                return count, tuple(cur)
+                return count
+
+    def make_dominant(self, sub: Subsystem, lam: Weight) -> tuple[int, Weight]:
+        """Dominant representative of the sub-Weyl orbit and reflections used."""
+        cur = list(lam)
+        count = self._walk(sub.index, cur)
+        return count, tuple(cur)
 
     def dotted_to_dominant(self, sub: Subsystem, lam: Weight) -> Optional[tuple[int, Weight]]:
         """Dotted action w . lam = w(lam + rho) - rho driven to dominance.
@@ -259,11 +274,12 @@ class RootSystem:
         Returns None when lam + rho is singular for the subsystem (some
         coordinate at a sub node vanishes), else (length, dominant weight).
         """
-        shifted = tuple(x + 1 for x in lam)
-        count, dom = self.make_dominant(sub, shifted)
-        if any(dom[i - 1] == 0 for i in sub.nodes):
-            return None
-        return count, tuple(x - 1 for x in dom)
+        cur = [x + 1 for x in lam]
+        count = self._walk(sub.index, cur)
+        for i in sub.index:
+            if cur[i] == 0:
+                return None
+        return count, tuple([x - 1 for x in cur])
 
     def dual_dominant(self, sub: Subsystem, lam: Weight) -> Weight:
         """Highest weight of the dual: dominant representative of -lam."""

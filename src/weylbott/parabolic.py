@@ -91,6 +91,5 @@ def branch(setup: ParabolicSetup, lam: Weight) -> GradedBundle:
     irreducibles changes, which is exactly a decomposition over the Levi.
     """
     rs = setup.rs
-    full = Subsystem.full(rs.rank)
-    ch = irrep_character(rs, full, rs.require_dominant(full, lam))
+    ch = irrep_character(rs, rs.full, rs.require_dominant(rs.full, lam))
     return decompose(rs, setup.levi, ch)

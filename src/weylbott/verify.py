@@ -16,7 +16,7 @@ from typing import Optional
 
 from .bbw import ExtTable, ext_table
 from .errors import EngineError
-from .lie_core import RootSystem, Subsystem, Weight
+from .lie_core import RootSystem, Weight
 from .parabolic import ParabolicSetup, check_bundle, make_setup, twist
 from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, require_keys
 
@@ -216,7 +216,7 @@ def collection_to_obj(coll: Collection) -> dict:
 
 def g_module_obj(rs: RootSystem, w: Weight) -> dict:
     """A G-module as printed: its highest weight and that of its dual."""
-    return {"weight": list(w), "dual": list(rs.dual_dominant(Subsystem.full(rs.rank), w))}
+    return {"weight": list(w), "dual": list(rs.dual_dominant(rs.full, w))}
 
 
 def ext_table_to_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:

@@ -75,6 +75,25 @@ def test_dim_requires_dominance(e6, e6_full):
         weyl_dim(e6, e6_full, (0, -1, 0, 0, 0, 0))
 
 
+def test_dim_memo_hit_keeps_the_checks():
+    # weyl_dim reads its memo before it checks; a key there was checked when stored
+    rs = RootSystem(get_preset("E6-paper"))
+    levi = Subsystem.levi(6, 1)
+    lam = (-2, 0, 0, 0, 0, 1)
+    assert weyl_dim(rs, levi, lam) == 10
+    assert rs.dim_memo == {(levi.nodes, lam): 10}
+    for wrong in (lam[:5], lam + (0,)):
+        with pytest.raises(ValueError, match="weight has length"):
+            weyl_dim(rs, levi, wrong)
+    with pytest.raises(NotDominant):
+        weyl_dim(rs, levi, (-2, 0, 0, 0, -1, 1))
+    assert weyl_dim(rs, levi, list(lam)) == 10
+    assert rs.dim_memo == {(levi.nodes, lam): 10}
+    ch = irrep_character(rs, levi, lam)
+    ch[lam] = 99
+    assert irrep_character(rs, levi, lam)[lam] == 1
+
+
 # -- irreducible characters -----------------------------------------------------
 
 
@@ -350,6 +369,18 @@ def test_decompose_rejects_virtual(e6, e6_levi):
         decompose(e6, e6_levi, virt)
 
 
+def test_decompose_zero_entry_hides_no_orphan(e6, e6_levi):
+    # dropping a weight mu leaves its mirrors without a partner; a zero entry
+    # at 2 mu, with the sign pattern of mu, must not stand in for it
+    s = irrep_character(e6, e6_levi, W[5])
+    for mu in s:
+        if any(mu[i - 1] for i in e6_levi.nodes) and tuple(2 * x for x in mu) not in s:
+            bad = {w: m for w, m in s.items() if w != mu}
+            bad[tuple(2 * x for x in mu)] = 0
+            with pytest.raises(NotDecomposable, match="has 0$"):
+                decompose(e6, e6_levi, bad)
+
+
 def test_decompose_rejects_asymmetric(e6, e6_levi):
     s = irrep_character(e6, e6_levi, W[5])
     bad = dict(s)
@@ -426,8 +457,9 @@ def test_decompose_expands_no_orbit(e6, e6_full, e6_levi, monkeypatch):
 
 
 def test_oracles_do_not_import_decompose():
-    # neither decompose nor the Brauer-Klimyk sum it shares with levi_tensor
-    engine = {"decompose", "brauer_klimyk"}
+    # neither decompose nor the Brauer-Klimyk sum it shares with levi_tensor,
+    # nor the in-place Weyl walk under both
+    engine = {"decompose", "brauer_klimyk", "_walk"}
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylbott"):

@@ -6,11 +6,18 @@ import random
 import pytest
 
 from weylbott import CartanMatrix, RootSystem, Subsystem, get_preset, preset_names
-from weylbott.characters import orbit_size
+from weylbott.characters import (
+    brauer_klimyk,
+    char_mul,
+    irrep_character,
+    orbit_size,
+    weyl_dim,
+    weyl_orbit,
+)
 from weylbott.errors import NotDominant, NotFiniteType
 from weylbott.presets import cartan_from_obj, cartan_to_obj
 
-from oracles import inversion_count, is_regular
+from oracles import dominant_chamber, inversion_count, is_regular, strip_full_support
 
 W1, W2, W3, W4, W5, W6 = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 ZERO6 = (0,) * 6
@@ -278,6 +285,74 @@ def test_dotted_degree_matches_inversions(e6, e6_full):
             assert not is_regular(e6, e6_full, shifted)
         else:
             assert res[0] == inversion_count(e6, e6_full, shifted)
+
+
+# -- the shared Weyl walk, against the oracles --------------------------------
+
+
+def _subsystems(rs):
+    """The full system and the Levi of every crossed node."""
+    return [rs.full] + [Subsystem.levi(rs.rank, k) for k in range(1, rs.rank + 1)]
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_walks_match_inversions_and_chambers(preset):
+    rs = RootSystem(get_preset(preset))
+    rng = random.Random(f"walk/{preset}")
+    for sub in _subsystems(rs):
+        for _ in range(40):
+            lam = tuple(rng.randint(-5, 3) for _ in range(rs.rank))
+            shifted = tuple(x + 1 for x in lam)
+            count, dom = rs.make_dominant(sub, lam)
+            assert dom == dominant_chamber(rs, sub, lam)
+            if is_regular(rs, sub, lam):
+                assert count == inversion_count(rs, sub, lam)
+            res = rs.dotted_to_dominant(sub, lam)
+            if not is_regular(rs, sub, shifted):
+                assert res is None
+            else:
+                top = tuple(x - 1 for x in dominant_chamber(rs, sub, shifted))
+                assert res == (inversion_count(rs, sub, shifted), top)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_orbit_from_any_start_is_the_whole_orbit(preset):
+    rs = RootSystem(get_preset(preset))
+    rng = random.Random(f"orbit/{preset}")
+    for sub in _subsystems(rs):
+        tried = 0
+        while tried < 6:
+            mu = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+            dom = dominant_chamber(rs, sub, mu)
+            if mu == dom or orbit_size(rs, sub, dom) > 2000:
+                continue
+            tried += 1
+            orbit = weyl_orbit(rs, sub, mu)
+            assert orbit == weyl_orbit(rs, sub, dom)
+            assert mu in orbit and len(orbit) == orbit_size(rs, sub, dom)
+            # closed under every simple reflection, not only the lowering ones
+            members = set(orbit)
+            assert all(rs.reflect(i, w) in members for w in orbit for i in sub.nodes)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_brauer_klimyk_matches_product_and_strip(preset):
+    rs = RootSystem(get_preset(preset))
+    rng = random.Random(f"bk/{preset}")
+
+    def small(sub):
+        while True:
+            w = [rng.randint(-2, 2) if i not in sub.nodes else 0 for i in range(1, rs.rank + 1)]
+            w[rng.choice(sub.nodes) - 1] += rng.randint(0, 1)
+            if weyl_dim(rs, sub, tuple(w)) <= 60:
+                return tuple(w)
+
+    for sub in _subsystems(rs):
+        for _ in range(2):
+            a, b = small(sub), small(sub)
+            ca = irrep_character(rs, sub, a)
+            expected = strip_full_support(rs, sub, char_mul(ca, irrep_character(rs, sub, b)))
+            assert sorted(brauer_klimyk(rs, sub, ca, b).items()) == sorted(expected)
 
 
 # -- duality -----------------------------------------------------------------

@@ -271,6 +271,18 @@ def test_no_assert_in_src():
     assert found == []
 
 
+def test_reflection_kernel_stays_in_lie_core():
+    # every reflection update reads the sparse Cartan columns; only lie_core does
+    found = []
+    for path in sorted(Path(weylbott.__file__).parent.glob("*.py")):
+        if path.name == "lie_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "_columns":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_unused_import_in_src():
     # a deletion that leaves its import behind; __init__ re-exports on purpose
     unused = []
