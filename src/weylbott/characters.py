@@ -11,7 +11,7 @@ Weyl-invariant character and a tensor product with an irreducible.
 from __future__ import annotations
 
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import Iterable, NoReturn
 
 from .errors import EngineError, GuardrailExceeded, NotDecomposable
@@ -108,32 +108,33 @@ def _dominant_weights(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weigh
     return found
 
 
-def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight, dom: dict) -> dict[Weight, int]:
-    """Multiplicities of the sub-dominant weights dom of the irrep with highest weight lam."""
+def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight, dom: dict) -> Character:
+    """Full character of the irrep with highest weight lam, dom its sub-dominant weights.
+
+    Taken by depth, each nu reads m(nu + k alpha) from the character itself: the
+    dominant conjugate of nu + k alpha lies above nu, so its orbit is already filled."""
     roots = rs.sub_positive_roots(sub)
     d = rs.symmetrizer_int
-    order = sorted(dom, key=lambda w: (sum(dom[w]), w))
-    mults: dict[Weight, int] = {lam: 1}
-    for nu in order:
+    mults: Character = dict.fromkeys(weyl_orbit(rs, sub, lam), 1)
+    for nu in sorted(dom, key=lambda w: (sum(dom[w]), w)):
         if nu == lam:
             continue
         off = dom[nu]  # root coordinates of lam - nu; positive total
         total = 0
         for r in roots:
-            k = 1
+            mu = nu
             while True:
-                mu = tuple(x + k * y for x, y in zip(nu, r.weight))
-                _, dmu = rs.make_dominant(sub, mu)
-                m = mults.get(dmu, 0)
+                mu = tuple(map(add, mu, r.weight))
+                m = mults.get(mu, 0)
                 if m == 0:
                     break  # weight strings of an irrep have no internal gaps
                 total += m * sum(c * di * x for c, di, x in zip(r.simple_coords, d, mu))
-                k += 1
         den = sum(c * di * (a + b + 2) for c, di, a, b in zip(off, d, lam, nu))
         q, rem = divmod(2 * total, den)
         if rem or q <= 0:
             raise EngineError(f"Freudenthal multiplicity of {nu} in {lam} is {2 * total}/{den}")
-        mults[nu] = q
+        for w in weyl_orbit(rs, sub, nu):
+            mults[w] = q
     return mults
 
 
@@ -143,11 +144,7 @@ def irrep_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> Character:
     key = (sub.nodes, lam)
     out = rs.char_memo.get(key)
     if out is None:
-        out = {}
-        for nu, m in _freudenthal(rs, sub, lam, _dominant_weights(rs, sub, lam)).items():
-            for w in weyl_orbit(rs, sub, nu):
-                out[w] = m
-        rs.char_memo[key] = out
+        out = rs.char_memo[key] = _freudenthal(rs, sub, lam, _dominant_weights(rs, sub, lam))
     return dict(out)
 
 
@@ -267,18 +264,12 @@ def brauer_klimyk(rs: RootSystem, sub: Subsystem, c: Character, top: Weight) -> 
     conjugate of top + mu, of length l, or nothing when top + mu + rho is
     singular.  The dimensions of the result must add up to dim c * dim V_top.
     """
-    walk = rs._walk
-    index = sub.index
-    shifted = [x + 1 for x in top]  # top + rho
+    dotted = rs.dotted_to_dominant
     acc: Character = {}
     for mu, m in c.items():
-        cur = [x + y for x, y in zip(shifted, mu)]
-        count = walk(index, cur)
-        for i in index:
-            if cur[i] == 0:
-                break
-        else:
-            w = tuple([x - 1 for x in cur])
+        hit = dotted(sub, tuple(map(add, top, mu)))
+        if hit is not None:
+            count, w = hit
             n = acc.get(w, 0) + (-m if count & 1 else m)
             if n:
                 acc[w] = n

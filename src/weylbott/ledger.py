@@ -15,6 +15,9 @@ Grammar (whitespace-insensitive):
              | 'gr' '(' expr ')'                associated graded: identity on characters
              | '(' expr ')'
 
+Groups, '(' expr ')' on their own or after dual, gr, wedge^k or sym^k,
+nest at most MAX_NESTING (64) deep.
+
 Identities are checked at character level: an isomorphism must give a
 zero difference, an exact sequence a zero alternating sum.  This
 certifies equality in the representation ring of the parabolic; it
@@ -24,7 +27,6 @@ exactly the granularity the checked statements live at.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -45,7 +47,7 @@ from .characters import (
 from .errors import ParseError
 from .lie_core import Weight
 from .parabolic import ParabolicSetup, bundle_char
-from .presets import require_keys
+from .presets import read_json, require_keys
 
 GRADED_NOTE = (
     "identities are checked at character (Grothendieck-group) level; "
@@ -80,8 +82,8 @@ def _dual(e: Evaluator) -> Evaluator:
     return lambda setup: char_dual(e(setup))
 
 
-def _tensor(a: Evaluator, b: Evaluator) -> Evaluator:
-    return lambda setup: char_mul(a(setup), b(setup))
+def _tensor(factors: list[Evaluator]) -> Evaluator:
+    return lambda setup: reduce(char_mul, (f(setup) for f in factors))
 
 
 def _oplus(terms: list[Evaluator]) -> Evaluator:
@@ -98,6 +100,11 @@ def _power(e: Evaluator, k: int, kind: str) -> Evaluator:
 
 
 # -- parsing -----------------------------------------------------------------
+
+# Groups are the one recursive rule, at five parser frames a level; this bound
+# keeps the parser far below Python's recursion limit (the built-in ledger
+# nests 2 deep).
+MAX_NESTING = 64
 
 _TOKEN = re.compile(r"\s*(?:(-?\d+)|([A-Za-z]+)|([\[\](),*+^]))")
 
@@ -127,6 +134,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int]:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -158,25 +166,26 @@ class _Parser:
         return terms[0] if len(terms) == 1 else _oplus(terms)
 
     def term(self) -> Evaluator:
-        e = self.atom()
+        factors = [self.atom()]
         while self.peek()[1] == "*":
             self.next()
-            e = _tensor(e, self.atom())
-        return e
+            factors.append(self.atom())
+        return factors[0] if len(factors) == 1 else _tensor(factors)
 
     def atom(self) -> Evaluator:
         e = self.primary()
-        # A parenthesized integer right after a primary is a twist.
+        # A parenthesized integer right after a primary is a twist; O(t) is a
+        # line bundle, so consecutive twists add up to one.
+        twists = []
         while (
             self.peek()[1] == "("
             and self.peek(1)[0] == "int"
             and self.peek(2)[1] == ")"
         ):
             self.next()
-            t = int(self.next()[1])
+            twists.append(int(self.next()[1]))
             self.next()
-            e = _twist(e, t)
-        return e
+        return _twist(e, sum(twists)) if twists else e
 
     def weight_list(self) -> Weight:
         self.expect("[")
@@ -205,9 +214,14 @@ class _Parser:
         return int(val)
 
     def group(self) -> Evaluator:
+        offset = self.peek()[2]
         self.expect("(")
+        if self.depth == MAX_NESTING:
+            raise ParseError(offset, f"at most {MAX_NESTING} nested groups")
+        self.depth += 1
         e = self.expr()
         self.expect(")")
+        self.depth -= 1
         return e
 
     def primary(self) -> Evaluator:
@@ -420,8 +434,7 @@ def identities_from_obj(data: list) -> list[Identity]:
 
 
 def load_ledger(path: str) -> list[Identity]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return identities_from_obj(json.load(fh))
+    return identities_from_obj(read_json(path))
 
 
 def identity_to_obj(ident: Identity) -> dict:

@@ -12,6 +12,7 @@ rank n exceeds.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -218,7 +219,11 @@ class RootSystem:
         return True
 
     def check_rank(self, lam: Weight) -> Weight:
-        lam = tuple(map(int, lam))
+        """lam as a tuple of ints of this rank; ValueError for any other coordinate."""
+        try:
+            lam = tuple(map(operator.index, lam))
+        except TypeError:
+            raise ValueError(f"weight {lam!r} must have integer coordinates") from None
         if len(lam) != self.rank:
             raise ValueError(f"weight has length {len(lam)}, expected {self.rank}")
         return lam

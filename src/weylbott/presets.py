@@ -85,9 +85,17 @@ def cartan_from_obj(obj: dict) -> CartanMatrix:
     return CartanMatrix.from_rows(rows)
 
 
-def load_cartan(path: str) -> CartanMatrix:
+def read_json(path: str):
+    """The JSON value in a file; a ValueError, not a RecursionError, if it nests too deep."""
     with open(path, "r", encoding="utf-8") as fh:
-        return cartan_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_cartan(path: str) -> CartanMatrix:
+    return cartan_from_obj(read_json(path))
 
 
 def cartan_to_obj(cartan: CartanMatrix) -> dict:

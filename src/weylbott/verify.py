@@ -18,7 +18,7 @@ from .bbw import ExtTable, ext_table
 from .errors import EngineError
 from .lie_core import RootSystem, Weight
 from .parabolic import ParabolicSetup, check_bundle, make_setup, twist
-from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, require_keys
+from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, read_json, require_keys
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def collection_from_obj(obj: dict) -> Collection:
 
 
 def load_collection(path: str) -> Collection:
-    with open(path, "r", encoding="utf-8") as fh:
-        return collection_from_obj(json.load(fh))
+    return collection_from_obj(read_json(path))
 
 
 def collection_to_obj(coll: Collection) -> dict:

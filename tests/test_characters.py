@@ -26,7 +26,7 @@ from weylbott.characters import (
     weyl_orbit,
 )
 from weylbott.errors import GuardrailExceeded, NotDecomposable, NotDominant
-from weylbott.parabolic import bundle_rank, make_setup
+from weylbott.parabolic import bundle_rank, levi_tensor, make_setup
 
 from oracles import (
     char_sub,
@@ -92,6 +92,21 @@ def test_dim_memo_hit_keeps_the_checks():
     ch = irrep_character(rs, levi, lam)
     ch[lam] = 99
     assert irrep_character(rs, levi, lam)[lam] == 1
+
+
+@pytest.mark.parametrize("lam", [(1.5, 0), (2.9, 0), ("1", 0)])
+def test_non_integer_weight_is_refused(lam):
+    # truncating would answer for a neighbouring weight: (1.5, 0) as (1, 0)
+    rs = RootSystem(get_preset("A2"))
+    setup = make_setup(rs, 1)
+    for call in (
+        partial(weyl_dim, rs, rs.full),
+        partial(irrep_character, rs, rs.full),
+        partial(levi_tensor, setup, (0, 0)),
+        lambda w: levi_tensor(setup, w, (0, 0)),
+    ):
+        with pytest.raises(ValueError, match="integer coordinates"):
+            call(lam)
 
 
 # -- irreducible characters -----------------------------------------------------

@@ -377,6 +377,17 @@ def test_exit_not_finite_type(capsys, tmp_path):
     assert "not of finite type" in err
 
 
+def test_cartan_file_convention(capsys, tmp_path):
+    # entries[i][j] = <alpha_j, alpha_i^vee>: here <alpha_2, alpha_3^vee> = -2, so
+    # alpha_3 is short and this is B3, whose first fundamental module is the
+    # 7-dimensional vector one; the transpose is C3, where it has dimension 6
+    b3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+    for entries, dim in ((b3, 7), ([list(col) for col in zip(*b3)], 6)):
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps({"rank": 3, "entries": entries}))
+        assert run(capsys, "dim", "--preset", str(path), "--weight=1,0,0") == (0, f"{dim}\n", "")
+
+
 def test_exit_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent.json")
     assert code == 2
@@ -457,6 +468,18 @@ def test_malformed_cartan_is_usage_error(capsys, tmp_path, registry, obj):
     with pytest.raises(jsonschema.ValidationError):
         validate(obj, "cartan.json", registry)
     assert_usage_error(*run_on_file(capsys, tmp_path, obj, "dim", "--weight=1,0", "--preset"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify",), ("ledger", "--ledger-file"), ("dim", "--weight=1,0", "--preset")],
+    ids=["collection", "ledger", "cartan"],
+)
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path, argv):
+    # written as text: json.dumps itself recurses on such an object
+    path = tmp_path / "input.json"
+    path.write_text("[" * 100_000)
+    assert_usage_error(*run(capsys, *argv, str(path)))
 
 
 def test_closed_stdout_keeps_exit_code():

@@ -94,6 +94,38 @@ def test_parse_errors_carry_position_and_expectation():
     assert info.value.expected == "end of input"
 
 
+def test_groups_nest_to_a_fixed_depth(cayley):
+    deepest = 64  # the parser's bound; the built-in ledger nests 2 deep
+    assert ev(cayley, "(" * deepest + "O" + ")" * deepest) == {ZERO6: 1}
+    assert ev(cayley, "dual(" * deepest + "O" + ")" * deepest) == {ZERO6: 1}
+    with pytest.raises(ParseError) as info:
+        parse_expr("(" * (deepest + 1) + "O" + ")" * (deepest + 1))
+    assert info.value.position == deepest
+
+
+@pytest.mark.parametrize(
+    "term,code,out_tail",
+    [
+        ("(" * 200 + "O" + ")" * 200, 3, None),
+        ("O" + "(1)" * 2000, 1, "verdict: fail"),
+        ("*".join(["O"] * 2000), 0, "verdict: pass"),
+    ],
+    ids=["200-groups", "2000-twists", "2000-factors"],
+)
+def test_long_terms_end_in_a_verdict_or_one_line(capsys, tmp_path, term, code, out_tail):
+    # products and twists are flat, so only nesting depth could recurse, and it is bounded
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps([{"name": "long", "kind": "iso", "terms": [term, "O"]}]))
+    assert main(["ledger", "--ledger-file", str(path)]) == code
+    captured = capsys.readouterr()
+    if out_tail is None:
+        assert captured.out == ""
+        assert captured.err.startswith("error: parse error") and captured.err.count("\n") == 1
+    else:
+        assert captured.out.rstrip().endswith(out_tail)
+        assert captured.err == ""
+
+
 # -- evaluation ----------------------------------------------------------------
 
 

@@ -271,15 +271,19 @@ def test_no_assert_in_src():
     assert found == []
 
 
-def test_reflection_kernel_stays_in_lie_core():
-    # every reflection update reads the sparse Cartan columns; only lie_core does
+def test_root_system_privates_stay_in_lie_core():
+    # the sparse Cartan columns and the in-place walk over them are reached
+    # through public RootSystem methods only
+    rs = RootSystem(get_preset("A2"))
+    private = {n for n in {*vars(RootSystem), *vars(rs)} if n.startswith("_") and not n.startswith("__")}
+    assert {"_columns", "_walk"} <= private
     found = []
     for path in sorted(Path(weylbott.__file__).parent.glob("*.py")):
         if path.name == "lie_core.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "_columns":
-                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} reads {node.attr}")
     assert found == []
 
 
