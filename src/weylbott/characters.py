@@ -33,13 +33,10 @@ def _guard(size: int) -> None:
 
 
 def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
-    """Dimension of the irreducible with highest weight lam, by the Weyl product.
-
-    The memo holds only validated keys, so a tuple is looked up before it is
-    checked; any other sequence is checked, and so made a tuple, first."""
-    q = rs.dim_memo.get((sub.nodes, lam)) if type(lam) is tuple else None
+    """Dimension of the irreducible with highest weight lam, by the Weyl product."""
+    lam = rs.require_dominant(sub, lam)
+    q = rs.dim_memo.get((sub.nodes, lam))
     if q is None:
-        lam = rs.require_dominant(sub, lam)
         shifted = [x + 1 for x in lam]  # lam + rho
         num = 1
         den = 1

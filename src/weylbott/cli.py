@@ -177,60 +177,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, crossed_default=None):
+    def command(name, help, func, crossed=1, weights=1):
+        """A root-system subcommand: --preset, --crossed, --format, then `weights` weights."""
+        p = sub.add_parser(name, help=help)
         p.add_argument(
             "--preset",
             default="E6-paper",
             help="named Cartan matrix or path to a Cartan matrix JSON file",
         )
+        where = "omit to work with the full system" if crossed is None else f"default {crossed}"
         p.add_argument(
-            "--crossed",
-            type=int,
-            default=crossed_default,
-            help="crossed node (1-based); omit to work with the full system",
+            "--crossed", type=int, default=crossed, help=f"crossed node (1-based); {where}"
         )
         p.add_argument("--format", choices=("text", "json"), default="text")
+        for opt in ("--weight", "--weight2")[:weights]:
+            p.add_argument(opt, required=True, help="comma-separated coordinates")
+        p.set_defaults(func=func)
+        return p
 
     p = sub.add_parser("presets", help="list named Cartan matrices")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_presets)
 
-    p = sub.add_parser("dim", help="dimension of an irreducible module")
-    common(p)
-    p.add_argument("--weight", required=True, help="comma-separated coordinates")
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("char", help="full character of an irreducible module")
-    common(p)
-    p.add_argument("--weight", required=True)
-    p.set_defaults(func=_cmd_char)
-
-    p = sub.add_parser("c1", help="first Chern class of a bundle")
-    common(p, crossed_default=1)
-    p.add_argument("--weight", required=True)
-    p.set_defaults(func=_cmd_c1)
-
-    p = sub.add_parser("tensor", help="decompose a tensor product of two bundles")
-    common(p, crossed_default=1)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--weight2", required=True)
-    p.set_defaults(func=_cmd_tensor)
-
-    p = sub.add_parser("branch", help="restrict a full-system module to the Levi")
-    common(p, crossed_default=1)
-    p.add_argument("--weight", required=True)
-    p.set_defaults(func=_cmd_branch)
-
-    p = sub.add_parser("cohomology", help="sheaf cohomology of one bundle")
-    common(p, crossed_default=1)
-    p.add_argument("--weight", required=True)
-    p.set_defaults(func=_cmd_cohomology)
-
-    p = sub.add_parser("ext", help="Ext table between two bundles")
-    common(p, crossed_default=1)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--weight2", required=True)
-    p.set_defaults(func=_cmd_ext)
+    command("dim", "dimension of an irreducible module", _cmd_dim, crossed=None)
+    command("char", "full character of an irreducible module", _cmd_char, crossed=None)
+    command("c1", "first Chern class of a bundle", _cmd_c1)
+    command("tensor", "decompose a tensor product of two bundles", _cmd_tensor, weights=2)
+    command("branch", "restrict a full-system module to the Levi", _cmd_branch)
+    command("cohomology", "sheaf cohomology of one bundle", _cmd_cohomology)
+    command("ext", "Ext table between two bundles", _cmd_ext, weights=2)
 
     p = sub.add_parser("verify", help="certify strong exceptionality of a collection")
     p.add_argument(
@@ -242,10 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("ledger", help="check an identity ledger")
-    common(p, crossed_default=1)
+    p = command("ledger", "check an identity ledger", _cmd_ledger, weights=0)
     p.add_argument("--ledger-file", help="path to a ledger JSON file (default: built-ins)")
-    p.set_defaults(func=_cmd_ledger)
 
     return parser
 

@@ -21,8 +21,9 @@ class NotDecomposable(EngineError):
 
 
 class GuardrailExceeded(EngineError):
-    """A character support, or the work of a power operation, passed the fixed
-    safety bound characters.MAX_SUPPORT."""
+    """A fixed safety bound was passed: a character support or the work of a power
+    operation over characters.MAX_SUPPORT, or the degree entries a certificate would
+    hold over verify.MAX_DEGREE_ENTRIES (checked before any pair is computed)."""
 
 
 class ParseError(EngineError):

@@ -22,6 +22,15 @@ from .errors import NotDominant, NotFiniteType
 Weight = tuple[int, ...]
 
 
+def require_int(x, what: str) -> int:
+    """x as an int by operator.index; ValueError naming x for a float, a string or any
+    other value, which truncating would silently turn into a neighbouring integer."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class CartanMatrix:
     """Integer Cartan matrix with entries[i][j] = <alpha_j, alpha_i^vee>."""
@@ -29,6 +38,10 @@ class CartanMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        entries = tuple(
+            tuple(require_int(x, "a Cartan matrix entry") for x in row) for row in self.entries
+        )
+        object.__setattr__(self, "entries", entries)
         n = len(self.entries)
         if n == 0:
             raise ValueError("empty Cartan matrix")
@@ -47,7 +60,7 @@ class CartanMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CartanMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def rank(self) -> int:

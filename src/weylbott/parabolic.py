@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .characters import Character, brauer_klimyk, decompose, irrep_character, weyl_dim
 from .errors import EngineError
-from .lie_core import RootSystem, Subsystem, Weight
+from .lie_core import RootSystem, Subsystem, Weight, require_int
 
 # A direct sum of irreducible bundles, canonically ordered.
 GradedBundle = list[tuple[Weight, int]]
@@ -55,7 +55,7 @@ def bundle_dual(setup: ParabolicSetup, w: Weight) -> Weight:
 def twist(setup: ParabolicSetup, w: Weight, t: int) -> Weight:
     w = setup.rs.check_rank(w)
     i = setup.crossed - 1
-    return w[:i] + (w[i] + t,) + w[i + 1:]
+    return w[:i] + (w[i] + require_int(t, "a twist"),) + w[i + 1:]
 
 
 def line_bundle(setup: ParabolicSetup, t: int) -> Weight:

@@ -15,10 +15,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bbw import ExtTable, ext_table
-from .errors import EngineError
+from .characters import orbit_size
+from .errors import EngineError, GuardrailExceeded
 from .lie_core import RootSystem, Weight
 from .parabolic import ParabolicSetup, check_bundle, make_setup, twist
 from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, read_json, require_keys
+
+
+# Hard ceiling on the n^2 (dim X + 1) degree entries of a certificate. cayley27
+# has 12,393; O, ..., O(199) on E6/P1 has 680,000 and writes 81 MB of JSON.
+MAX_DEGREE_ENTRIES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -96,10 +102,22 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
     The report keeps the collection and so its root system; the character
     and dimension memos filled by the run are emptied on return, so that a
     kept report does not also keep them.
+
+    A collection whose certificate would pass MAX_DEGREE_ENTRIES is refused
+    before any pair is computed.
     """
     setup = coll.setup
     rs = setup.rs
     c = setup.crossed - 1
+    n = len(coll.bundles)
+    entries = n * n * (setup.dim_x + 1)
+    if entries > MAX_DEGREE_ENTRIES:
+        omega = tuple(int(i == c) for i in range(rs.rank))
+        raise GuardrailExceeded(
+            f"{n} bundles need {entries} degree entries, over the bound {MAX_DEGREE_ENTRIES};"
+            f" no exceptional collection here has more than {orbit_size(rs, rs.full, omega)}"
+            " objects, the rank of K_0"
+        )
     start = time.monotonic()
     memo: dict[tuple[Weight, Weight], ExtTable] = {}
     tables: list[ExtTable] = []

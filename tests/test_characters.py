@@ -76,7 +76,8 @@ def test_dim_requires_dominance(e6, e6_full):
 
 
 def test_dim_memo_hit_keeps_the_checks():
-    # weyl_dim reads its memo before it checks; a key there was checked when stored
+    # weyl_dim checks a weight before it reads its memo, so a warm key does not
+    # vouch for a non-integer weight that compares equal to it
     rs = RootSystem(get_preset("E6-paper"))
     levi = Subsystem.levi(6, 1)
     lam = (-2, 0, 0, 0, 0, 1)
@@ -87,6 +88,8 @@ def test_dim_memo_hit_keeps_the_checks():
             weyl_dim(rs, levi, wrong)
     with pytest.raises(NotDominant):
         weyl_dim(rs, levi, (-2, 0, 0, 0, -1, 1))
+    with pytest.raises(ValueError, match="integer coordinates"):
+        weyl_dim(rs, levi, (-2.0, 0, 0, 0, 0, 1))
     assert weyl_dim(rs, levi, list(lam)) == 10
     assert rs.dim_memo == {(levi.nodes, lam): 10}
     ch = irrep_character(rs, levi, lam)

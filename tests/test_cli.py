@@ -8,6 +8,8 @@ import itertools
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 import weylbott
-from weylbott.cli import main
+import weylbott.verify
+from weylbott.cli import build_parser, main
 from weylbott.presets import get_preset, preset_names
 
 SCHEMA_FILES = [
@@ -359,6 +362,53 @@ def test_exit_usage_error(capsys, argv, needle):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+@pytest.mark.parametrize("cmd", BUNDLE_ARGS)
+def test_crossed_default_is_stated(capsys, cmd):
+    # dim and char default to the full system, the bundle commands to node 1
+    crossed = None if cmd in ("dim", "char") else 1
+    assert build_parser().parse_args([cmd, *BUNDLE_ARGS[cmd]]).crossed == crossed
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    full = "omit to work with the full system"
+    assert (full in text, "default 1" in text) == (crossed is None, crossed == 1)
+
+
+def test_verify_size_guardrail_exit(capsys, tmp_path, monkeypatch):
+    def no_pair(*args):
+        raise AssertionError("an Ext table was computed")
+
+    monkeypatch.setattr(weylbott.verify, "ext_table", no_pair)
+    bundles = [{"weight": [t, 0, 0, 0, 0, 0]} for t in range(243)]
+    obj = {"name": "O(0..242)", "preset": "E6-paper", "crossed": 1, "bundles": bundles}
+    code, out, err = run_on_file(capsys, tmp_path, obj, "verify")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1003833 degree entries" in err
+
+
+def _quick_start():
+    """The weylbott command lines of the README's Quick start, without redirections."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [re.sub(r"\s*>\s*\S+$", "", line) for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("weylbott ")]
+
+
+QUICK_START = _quick_start()
+
+
+def test_readme_quick_start_is_found():
+    assert len(QUICK_START) == 7
+
+
+@pytest.mark.parametrize("argv", QUICK_START, ids=" ".join)
+def test_readme_quick_start(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_exit_engine_error(capsys):

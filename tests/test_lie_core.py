@@ -198,6 +198,11 @@ def test_invalid_cartan_rejected():
         CartanMatrix.from_rows([[1, 0], [0, 2]])  # bad diagonal
     with pytest.raises(ValueError):
         CartanMatrix.from_rows([[2, 1], [1, 2]])  # positive off-diagonal
+    # an entry that is not an integer is refused, never truncated (to A2 here)
+    for bad, rows in ((-1.5, [[2, -1.5], [-1, 2]]), ("-1", [[2, "-1"], [-1, 2]])):
+        for make in (CartanMatrix.from_rows, CartanMatrix):
+            with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+                make(tuple(map(tuple, rows)))
 
 
 def test_preset_registry_round_trip():

@@ -83,6 +83,9 @@ def test_line_bundle_and_twist(cayley):
     assert line_bundle(cayley, 3) == (3, 0, 0, 0, 0, 0)
     assert twist(cayley, W[5], 2) == (2, 0, 0, 0, 0, 1)
     assert twist(cayley, twist(cayley, S_DUAL, 4), -4) == S_DUAL
+    for t in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match=f"twist must be an integer, got {t!r}"):
+            twist(cayley, (0,) * 6, t)
 
 
 def test_c1_values(cayley):

@@ -12,9 +12,11 @@ import pytest
 
 import weylbott
 import weylbott.bbw as bbw
+import weylbott.verify as verify
 from weylbott import RootSystem, get_preset
 from weylbott.bbw import ext_table
-from weylbott.parabolic import bundle_rank, make_setup, twist
+from weylbott.errors import GuardrailExceeded
+from weylbott.parabolic import bundle_rank, line_bundle, make_setup, twist
 from weylbott.verify import (
     Collection,
     VerificationReport,
@@ -147,6 +149,24 @@ def test_kapranov_spinor_rank():
     assert bundle_rank(coll.setup, sigma) == 8
     # the spinor bundle is self-dual up to a twist
     assert bundle_dual(coll.setup, (0, 0, 0, 1)) == (-1, 0, 0, 1)
+
+
+class PairComputed(Exception):
+    pass
+
+
+def test_size_guardrail_fires_before_any_pair(cayley, monkeypatch):
+    # n^2 (dim X + 1) degree entries: 243^2 * 17 = 1,003,833 passes 10^6 and
+    # 242^2 * 17 = 995,588 does not; |W/W_P| = 27 on the Cayley plane
+    def no_pair(*args):
+        raise PairComputed
+
+    monkeypatch.setattr(verify, "ext_table", no_pair)
+    lines = [line_bundle(cayley, t) for t in range(243)]
+    with pytest.raises(GuardrailExceeded, match="1003833 degree entries.* more than 27 objects"):
+        verify_strong_exceptional(Collection("O(0..242)", cayley, tuple(lines)))
+    with pytest.raises(PairComputed):
+        verify_strong_exceptional(Collection("O(0..241)", cayley, tuple(lines[:-1])))
 
 
 def test_unknown_builtin():
