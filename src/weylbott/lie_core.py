@@ -126,6 +126,7 @@ class Subsystem:
 
     @classmethod
     def levi(cls, rank: int, crossed: int) -> "Subsystem":
+        crossed = require_int(crossed, "crossed node")
         if not 1 <= crossed <= rank:
             raise ValueError(f"crossed node {crossed} outside 1..{rank}")
         return cls(tuple(i for i in range(1, rank + 1) if i != crossed))

@@ -236,27 +236,39 @@ def g_module_obj(rs: RootSystem, w: Weight) -> dict:
     return {"weight": list(w), "dual": list(rs.dual_dominant(rs.full, w))}
 
 
+def _table_obj(rs: RootSystem, table: ExtTable, entries: dict) -> list[dict]:
+    """One entry per degree 0..dim X, in the shape of ext-table.json.  Equal
+    entries, keyed in entries by (degree, dim, modules), are one object."""
+    out = []
+    for key in zip(range(len(table.dims)), table.dims, map(tuple, table.weights)):
+        entry = entries.get(key)
+        if entry is None:
+            k, dim, modules = key
+            entry = entries[key] = {
+                "degree": k,
+                "dim": dim,
+                "weights": [{**g_module_obj(rs, w), "mult": m} for w, m in modules],
+            }
+        out.append(entry)
+    return out
+
+
 def ext_table_to_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:
     """One entry per degree 0..dim X, in the shape of ext-table.json."""
-    return [
-        {
-            "degree": k,
-            "dim": dim,
-            "weights": [{**g_module_obj(setup.rs, w), "mult": m} for w, m in modules],
-        }
-        for k, (dim, modules) in enumerate(zip(table.dims, table.weights))
-    ]
+    return _table_obj(setup.rs, table, {})
 
 
 def report_to_obj(report: VerificationReport) -> dict:
     """The canonical certificate; it never carries the elapsed time.
 
-    Pairs of one twist class share a table object, converted once here;
+    Pairs of one twist class share a table object, and equal degree entries
+    of the distinct tables share an entry object, each converted once here;
     report_to_json encodes each shared object once."""
     coll = report.collection
     n = len(coll.bundles)
     distinct = {id(t): t for t in report.tables}
-    converted = {k: ext_table_to_obj(coll.setup, t) for k, t in distinct.items()}
+    entries: dict = {}
+    converted = {k: _table_obj(coll.setup.rs, t, entries) for k, t in distinct.items()}
     return {
         "collection": collection_to_obj(coll),
         "dim_x": coll.setup.dim_x,
@@ -281,20 +293,31 @@ def report_to_obj(report: VerificationReport) -> dict:
 
 def report_to_json(report: VerificationReport) -> str:
     """The certificate text, byte for byte json.dumps(report_to_obj(report),
-    sort_keys=True, indent=2), with each distinct table encoded once.
+    sort_keys=True, indent=2), with each distinct table laid out once and each
+    distinct degree entry encoded once.
 
-    Every table sits at depth 3 (root, "tables", entry), so its own
-    indented dump lands there once each continuation line gains 6 spaces.
-    The report is dumped with null for each table and the texts go in at
-    '"table": null', which no string can hold: JSON escapes its quotes."""
+    Every table sits at depth 3 (root, "tables", pair) and its entries at
+    depth 4, so an entry's own indented dump lands there once each
+    continuation line gains 8 spaces, and a table is json's list layout of
+    those rows.  The report is dumped with null for each table and the texts
+    go in at '"table": null', which no string can hold: JSON escapes its
+    quotes.  Tables and entries are keyed by id: all of them exist before the
+    loop starts, so no two of them share an id."""
     obj = report_to_obj(report)
+    rows: dict[int, str] = {}
     texts: dict[int, str] = {}
     spliced = []
-    for entry in obj["tables"]:
-        table, entry["table"] = entry["table"], None
-        if id(table) not in texts:
-            texts[id(table)] = json.dumps(table, sort_keys=True, indent=2).replace("\n", "\n      ")
-        spliced.append(texts[id(table)])
+    for pair in obj["tables"]:
+        table, pair["table"] = pair["table"], None
+        text = texts.get(id(table))
+        if text is None:
+            for entry in table:
+                if id(entry) not in rows:
+                    rows[id(entry)] = json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n        ")
+            text = texts[id(table)] = (
+                "[\n        " + ",\n        ".join([rows[id(e)] for e in table]) + "\n      ]" if table else "[]"
+            )
+        spliced.append(text)
     parts = json.dumps(obj, sort_keys=True, indent=2).split('"table": null')
     if not len(parts) - 1 == len(spliced) == report.pairs_checked:
         raise EngineError(

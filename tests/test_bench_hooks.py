@@ -31,7 +31,7 @@ def test_tracer_installs_and_inputs_build(monkeypatch):
         t.install()
         coll = verify.builtin_collection("cayley27")  # a fresh root system, so cold
         t.active = True
-        verify.verify_strong_exceptional(coll)
+        verify.report_to_json(verify.verify_strong_exceptional(coll))
         t.active = False
     finally:
         t.uninstall()
@@ -44,3 +44,5 @@ def test_tracer_installs_and_inputs_build(monkeypatch):
         "lie_core.make_dominant",
     ):
         assert t.calls[name] > 0, name
+    assert t.calls["verify.serialize"] == 1
+    assert t.counts["verify.report_bytes"] == 1376528

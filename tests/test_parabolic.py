@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import weylbott
-from weylbott import RootSystem, get_preset
+from weylbott import RootSystem, Subsystem, get_preset
 from weylbott.characters import char_mul, irrep_character, weyl_dim
 from weylbott.errors import NotDominant
 from weylbott.parabolic import (
@@ -67,6 +67,19 @@ def test_make_setup_bad_node(e6):
         make_setup(e6, 7)
     with pytest.raises(ValueError):
         make_setup(e6, 0)
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda bad: Subsystem.levi(6, bad), 1.5),  # a float in range would select no node
+        (lambda bad: make_setup(RootSystem(get_preset("A2")), bad), 1.5),
+        (lambda bad: make_setup(RootSystem(get_preset("A2")), bad), "1"),
+    ],
+)
+def test_crossed_node_must_be_an_integer(build, bad):
+    with pytest.raises(ValueError, match=f"crossed node must be an integer, got {bad!r}"):
+        build(bad)
 
 
 # -- ranks, twists, Chern class -------------------------------------------------

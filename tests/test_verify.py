@@ -336,6 +336,42 @@ def test_certificate_splice_checks_survive_python_O():
     assert all("certificate splice failed" in line for line in lines), lines
 
 
+@pytest.mark.parametrize("name, entries, distinct", [("cayley27", 2601, 76), ("kapranovQ7", 224, 20)])
+def test_equal_degree_entries_are_converted_and_encoded_once(monkeypatch, name, entries, distinct):
+    report = verify_strong_exceptional(builtin_collection(name))
+    tables = {id(e["table"]): e["table"] for e in report_to_obj(report)["tables"]}.values()
+    rows = [entry for table in tables for entry in table]
+    assert (len(rows), len({id(entry) for entry in rows})) == (entries, distinct)
+    dumps = json.dumps
+    calls = []
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    report_to_json(report)
+    assert len(calls) == 1 + distinct  # the skeleton, then each distinct entry
+
+
+def _empty_table(obj: dict) -> None:
+    obj["tables"][1]["table"] = []
+
+
+def _repeated_entry(obj: dict) -> None:
+    table = obj["tables"][1]["table"]
+    obj["tables"][1]["table"] = [table[0]] * len(table)
+
+
+@pytest.mark.parametrize("fault", [_empty_table, _repeated_entry], ids=["empty table", "repeated entry"])
+def test_row_splice_lays_out_tables_as_the_stock_encoder(monkeypatch, fault):
+    report = verify_strong_exceptional(builtin_collection("kapranovQ7"))
+    true_obj = verify.report_to_obj
+
+    def patched(r):
+        obj = true_obj(r)
+        fault(obj)
+        return obj
+
+    monkeypatch.setattr(verify, "report_to_obj", patched)
+    assert report_to_json(report) == json.dumps(patched(report), sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("preset, crossed", TWIST_SETUPS)
 def test_ext_table_depends_on_twist_difference(preset, crossed):
     rng = random.Random(f"{preset}/{crossed}")
