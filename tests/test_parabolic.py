@@ -72,7 +72,7 @@ def test_make_setup_bad_node(e6):
 @pytest.mark.parametrize(
     "build, bad",
     [
-        (lambda bad: Subsystem.levi(6, bad), 1.5),  # a float in range would select no node
+        (lambda bad: Subsystem.levi(6, bad), 1.5),  # a float in range would cross no node
         (lambda bad: make_setup(RootSystem(get_preset("A2")), bad), 1.5),
         (lambda bad: make_setup(RootSystem(get_preset("A2")), bad), "1"),
     ],
