@@ -8,7 +8,6 @@ guardrail, parse failure).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -25,7 +24,7 @@ from .ledger import (
 )
 from .lie_core import RootSystem, Subsystem, Weight
 from .parabolic import ParabolicSetup, branch, bundle_c1, levi_tensor, make_setup
-from .presets import PRESETS, get_preset, load_cartan, preset_names
+from .presets import PRESETS, get_preset, load_cartan, preset_names, to_json
 from .verify import (
     BUILTIN_COLLECTIONS,
     builtin_collection,
@@ -84,7 +83,7 @@ def _write(text: str) -> None:
 
 
 def _emit(args, obj, text: str) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2) if args.format == "json" else text)
+    _write(to_json(obj) if args.format == "json" else text)
 
 
 def _cmd_presets(args) -> int:

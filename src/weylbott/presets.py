@@ -1,4 +1,4 @@
-"""Named Cartan matrices and JSON loading.
+"""Named Cartan matrices, JSON loading and the one JSON writer.
 
 The "E6-paper" labeling runs the chain 1-2-3-5-6 with node 4 attached
 to node 3; "E6-bourbaki" is the textbook order, kept for comparison.
@@ -7,6 +7,7 @@ to node 3; "E6-bourbaki" is the textbook order, kept for comparison.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .lie_core import CartanMatrix
 
@@ -86,12 +87,48 @@ def cartan_from_obj(obj: dict) -> CartanMatrix:
 
 
 def read_json(path: str):
-    """The JSON value in a file; a ValueError, not a RecursionError, if it nests too deep."""
+    """The JSON value in a file; a ValueError naming the file if it is not JSON or nests too deep."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def to_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) byte for byte, for str keys, but a list or dict met
+    twice is laid out once per depth and its text reused; ids key them, as obj keeps each alive."""
+    seen, shared, todo, memo = set(), set(), [obj], {}
+    for x in todo:
+        if type(x) is not int and isinstance(x, (dict, list, tuple)) and x:
+            if id(x) not in seen:
+                todo.extend(x.values() if isinstance(x, dict) else x)
+            (shared if id(x) in seen else seen).add(id(x))
+
+    def write(x, pad: str, out: list[str], reuse: bool = True) -> list[str]:
+        inner = pad + "  "
+        if not isinstance(x, (dict, list, tuple)) or not x:
+            out.append(str(x) if type(x) is int else _encode_str(x) if type(x) is str else json.dumps(x))
+        elif reuse and id(x) in shared:
+            if (id(x), pad) not in memo:
+                memo[id(x), pad] = "".join(write(x, pad, [], False))  # laid out this once
+            out.append(memo[id(x), pad])
+        elif isinstance(x, dict):
+            for i, k in enumerate(sorted(x)):
+                out.append(("," if i else "{") + inner + _encode_str(k) + ": ")
+                write(x[k], inner, out)
+            out.append(pad + "}")
+        else:
+            for i, v in enumerate(x):
+                out.append(("," if i else "[") + inner + (str(v) if type(v) is int else ""))
+                if type(v) is not int:  # an int, the common leaf, is written without a call
+                    write(v, inner, out)
+            out.append(pad + "]")
+        return out
+
+    return "".join(write(obj, "\n", []))
 
 
 def load_cartan(path: str) -> CartanMatrix:

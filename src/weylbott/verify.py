@@ -9,17 +9,16 @@ deterministic report.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .bbw import ExtTable, ext_table
 from .characters import orbit_size
-from .errors import EngineError, GuardrailExceeded
+from .errors import GuardrailExceeded
 from .lie_core import RootSystem, Weight
 from .parabolic import ParabolicSetup, check_bundle, make_setup, twist
-from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, read_json, require_keys
+from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, read_json, require_keys, to_json
 
 
 # Hard ceiling on the n^2 (dim X + 1) degree entries of a certificate. cayley27
@@ -263,7 +262,7 @@ def report_to_obj(report: VerificationReport) -> dict:
 
     Pairs of one twist class share a table object, and equal degree entries
     of the distinct tables share an entry object, each converted once here;
-    report_to_json encodes each shared object once."""
+    to_json lays out each shared object once."""
     coll = report.collection
     n = len(coll.bundles)
     distinct = {id(t): t for t in report.tables}
@@ -292,39 +291,8 @@ def report_to_obj(report: VerificationReport) -> dict:
 
 
 def report_to_json(report: VerificationReport) -> str:
-    """The certificate text, byte for byte json.dumps(report_to_obj(report),
-    sort_keys=True, indent=2), with each distinct table laid out once and each
-    distinct degree entry encoded once.
-
-    Every table sits at depth 3 (root, "tables", pair) and its entries at
-    depth 4, so an entry's own indented dump lands there once each
-    continuation line gains 8 spaces, and a table is json's list layout of
-    those rows.  The report is dumped with null for each table and the texts
-    go in at '"table": null', which no string can hold: JSON escapes its
-    quotes.  Tables and entries are keyed by id: all of them exist before the
-    loop starts, so no two of them share an id."""
-    obj = report_to_obj(report)
-    rows: dict[int, str] = {}
-    texts: dict[int, str] = {}
-    spliced = []
-    for pair in obj["tables"]:
-        table, pair["table"] = pair["table"], None
-        text = texts.get(id(table))
-        if text is None:
-            for entry in table:
-                if id(entry) not in rows:
-                    rows[id(entry)] = json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n        ")
-            text = texts[id(table)] = (
-                "[\n        " + ",\n        ".join([rows[id(e)] for e in table]) + "\n      ]" if table else "[]"
-            )
-        spliced.append(text)
-    parts = json.dumps(obj, sort_keys=True, indent=2).split('"table": null')
-    if not len(parts) - 1 == len(spliced) == report.pairs_checked:
-        raise EngineError(
-            f"certificate splice failed: {len(parts) - 1} table places, "
-            f"{len(spliced)} tables, {report.pairs_checked} pairs"
-        )
-    return "".join(p + '"table": ' + t for p, t in zip(parts, spliced)) + parts[-1]
+    """The certificate text: to_json lays out each shared table and entry once."""
+    return to_json(report_to_obj(report))
 
 
 def render_report_text(report: VerificationReport) -> str:

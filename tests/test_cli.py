@@ -23,7 +23,7 @@ from referencing import Registry, Resource
 import weylbott
 import weylbott.verify
 from weylbott.cli import build_parser, main
-from weylbott.presets import get_preset, preset_names
+from weylbott.presets import get_preset, preset_names, to_json
 
 SCHEMA_FILES = [
     "cartan.json",
@@ -146,6 +146,28 @@ def test_verify_json_schema(capsys, registry):
     validate(obj, "report.json", registry)
     assert obj["verdict"] == "pass"
     assert "elapsed_seconds" not in obj
+
+
+JSON_COMMANDS = {
+    "presets": ("presets",),
+    "dim": ("dim", "--weight=0,0,0,0,0,1"),
+    "char": ("char", "--preset", "A2", "--weight=1,0"),
+    "c1": ("c1", "--weight=0,0,0,0,0,1"),
+    "tensor": ("tensor", "--weight=-1,0,0,0,0,1", "--weight2=-1,0,0,0,0,1"),
+    "branch": ("branch", "--weight=0,0,0,1,0,0"),
+    "cohomology-zero": ("cohomology", "--weight=-3,0,0,0,0,0"),
+    "cohomology": ("cohomology", "--weight=-12,0,0,0,0,0"),
+    "ext": ("ext", "--weight=0,0,0,0,0,0", "--weight2=1,0,0,0,0,0"),
+    "verify": ("verify", "kapranovQ7"),
+    "ledger": ("ledger",),
+}
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS.values(), ids=JSON_COMMANDS)
+def test_json_output_keeps_the_stock_layout(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 # sha256 of stdout, trailing newline included; any change to a certificate
@@ -520,16 +542,27 @@ def test_malformed_cartan_is_usage_error(capsys, tmp_path, registry, obj):
     assert_usage_error(*run_on_file(capsys, tmp_path, obj, "dim", "--weight=1,0", "--preset"))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("verify",), ("ledger", "--ledger-file"), ("dim", "--weight=1,0", "--preset")],
-    ids=["collection", "ledger", "cartan"],
-)
+# the commands that read a JSON file named by their last argument
+FILE_ARGV = [("verify",), ("ledger", "--ledger-file"), ("dim", "--weight=1,0", "--preset")]
+FILE_KINDS = ["collection", "ledger", "cartan"]
+
+
+@pytest.mark.parametrize("argv", FILE_ARGV, ids=FILE_KINDS)
 def test_deeply_nested_json_is_usage_error(capsys, tmp_path, argv):
     # written as text: json.dumps itself recurses on such an object
     path = tmp_path / "input.json"
     path.write_text("[" * 100_000)
     assert_usage_error(*run(capsys, *argv, str(path)))
+
+
+@pytest.mark.parametrize("content", [b"", b"\x80\x81"], ids=["empty", "not-utf-8"])
+@pytest.mark.parametrize("argv", FILE_ARGV, ids=FILE_KINDS)
+def test_unreadable_json_error_names_the_file(capsys, tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert_usage_error(code, out, err)
+    assert str(path) in err
 
 
 def test_closed_stdout_keeps_exit_code():
@@ -614,3 +647,52 @@ def test_cli_inputs_end_in_an_exit_code(argv):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# -- the JSON writer ------------------------------------------------------------------
+
+KEYS = st.text(max_size=6) | st.sampled_from(['"', "\n", 'a "b"', "back\\slash", "\u00e9", "\U0001d546"])
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10 ** 30), 10 ** 30)
+    | st.floats()
+    | KEYS
+)
+CONTAINERS = st.deferred(
+    lambda: st.lists(VALUES, min_size=1, max_size=4)
+    | st.lists(VALUES, min_size=1, max_size=3).map(tuple)
+    | st.dictionaries(KEYS, VALUES, min_size=1, max_size=4)
+)
+VALUES = st.deferred(lambda: SCALARS | st.lists(VALUES, max_size=3) | st.dictionaries(KEYS, VALUES, max_size=3))
+
+
+def stock(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(VALUES)
+def test_to_json_is_the_stock_encoder(obj):
+    assert to_json(obj) == stock(obj)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(CONTAINERS, VALUES, st.lists(st.integers(0, 3), min_size=2, max_size=5))
+def test_to_json_lays_out_a_shared_subobject_as_the_stock_encoder(sub, other, depths):
+    # sub is shared at each depth drawn (at one depth when a depth is drawn twice),
+    # again two levels deeper, and inside pair, which is itself shared
+    def nested(depth):
+        x = sub
+        for k in range(depth):
+            x = {"k": x} if k % 2 else [x]
+        return x
+
+    pair = [sub, sub]
+    obj = [nested(d) for d in depths] + [{"again": [nested(d) for d in depths], "other": other}, pair, {"p": pair}]
+    assert to_json(obj) == stock(obj)
+
+
+@pytest.mark.parametrize("obj", [{}, [], [[]], {"a": {}}, (), "x", 5, None], ids=repr)
+def test_to_json_small_values(obj):
+    assert to_json(obj) == stock(obj)

@@ -321,6 +321,21 @@ def test_no_unused_import_in_src():
     assert unused == []
 
 
+def test_json_is_written_only_by_to_json():
+    # one serializer: json.dumps and json.dump are called inside presets.to_json only
+    found = []
+    for path in sorted(Path(weylbott.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writer = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "to_json"]
+        inside = {id(node) for f in writer for node in ast.walk(f)} if path.name == "presets.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps") and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno} calls {ast.unparse(node)}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names if a.name in ("dump", "dumps")]
+    assert found == []
+
+
 def test_src_is_integer_only():
     # no rational or decimal arithmetic and no true division anywhere in the engine
     found = []

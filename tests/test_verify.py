@@ -1,17 +1,14 @@
 """End-to-end strong-exceptionality verification and report serialization."""
 
 import json
-import os
 import random
-import subprocess
-import sys
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-import weylbott
 import weylbott.bbw as bbw
+import weylbott.presets as presets
 import weylbott.verify as verify
 from weylbott import RootSystem, get_preset
 from weylbott.bbw import ext_table
@@ -220,7 +217,8 @@ def naive_report(coll: Collection) -> VerificationReport:
 
 def plain_dump(report: VerificationReport) -> str:
     """The certificate as the stock encoder writes it, every table in full at
-    every pair: the oracle for report_to_json's splice."""
+    every pair: the oracle for report_to_json, which lays out each shared
+    table and entry once."""
     return json.dumps(report_to_obj(report), sort_keys=True, indent=2)
 
 
@@ -253,7 +251,7 @@ def test_memoized_report_matches_per_pair_path(make):
     differ = [divmod(k, n) for k, (x, y) in enumerate(zip(report.tables, naive.tables)) if x != y]
     assert differ == []  # 0-based (i, j) of the pairs whose tables differ
     # compared as a bool: a diff of two megabyte strings would take minutes.
-    # The plain dump is the oracle of the splice; the per-pair report shares no table.
+    # The plain dump is the oracle of the writer; the per-pair report shares no table.
     text = report_to_json(report)
     same = text == plain_dump(report) == report_to_json(naive) == plain_dump(naive)
     assert same, "the certificates differ"
@@ -263,7 +261,7 @@ def test_memoized_report_matches_per_pair_path(make):
     assert [e["table"] for e in json.loads(text)["tables"]] == own
 
 
-# Text the splice must not mistake for its own markers, in a name.
+# Names that hold JSON syntax, quotes, escapes and non-ASCII text.
 ADVERSARIAL_NAMES = [
     '"table": null',
     '"table": [',
@@ -291,62 +289,17 @@ def test_certificate_survives_any_name(cayley, name):
         assert json.loads(text)["collection"]["name"] == name
 
 
-# Each structural fault in what the splice is handed must raise, with asserts stripped.
-_SPLICE_FAULTS_UNDER_O = """
-import sys
-import weylbott.verify as verify
-from weylbott import EngineError
-
-if not sys.flags.optimize:
-    sys.exit("not running under -O")
-report = verify.verify_strong_exceptional(verify.builtin_collection("kapranovQ7"))
-true_obj = verify.report_to_obj
-faults = {
-    "extra pair": lambda obj: obj["tables"].append({"pair": [9, 9], "table": []}),
-    "missing pair": lambda obj: obj["tables"].pop(),
-    "extra place": lambda obj: obj["violations"].append({"table": None}),
-}
-for name, fault in faults.items():
-    def faulty(r, fault=fault):
-        obj = true_obj(r)
-        fault(obj)
-        return obj
-    verify.report_to_obj = faulty
-    try:
-        verify.report_to_json(report)
-    except EngineError as exc:
-        print(name, "|", exc)
-    else:
-        sys.exit(f"{name}: the splice accepted it")
-"""
-
-
-def test_certificate_splice_checks_survive_python_O():
-    src = str(Path(weylbott.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SPLICE_FAULTS_UNDER_O],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert [line.split(" | ")[0] for line in lines] == ["extra pair", "missing pair", "extra place"]
-    assert all("certificate splice failed" in line for line in lines), lines
-
-
 @pytest.mark.parametrize("name, entries, distinct", [("cayley27", 2601, 76), ("kapranovQ7", 224, 20)])
 def test_equal_degree_entries_are_converted_and_encoded_once(monkeypatch, name, entries, distinct):
     report = verify_strong_exceptional(builtin_collection(name))
     tables = {id(e["table"]): e["table"] for e in report_to_obj(report)["tables"]}.values()
     rows = [entry for table in tables for entry in table]
     assert (len(rows), len({id(entry) for entry in rows})) == (entries, distinct)
-    dumps = json.dumps
-    calls = []
-    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    encode = presets._encode_str
+    texts = []
+    monkeypatch.setattr(presets, "_encode_str", lambda text: texts.append(text) or encode(text))
     report_to_json(report)
-    assert len(calls) == 1 + distinct  # the skeleton, then each distinct entry
+    assert texts.count("degree") == distinct  # the key of each distinct entry, laid out once
 
 
 def _empty_table(obj: dict) -> None:
@@ -359,7 +312,7 @@ def _repeated_entry(obj: dict) -> None:
 
 
 @pytest.mark.parametrize("fault", [_empty_table, _repeated_entry], ids=["empty table", "repeated entry"])
-def test_row_splice_lays_out_tables_as_the_stock_encoder(monkeypatch, fault):
+def test_shared_tables_are_laid_out_as_the_stock_encoder(monkeypatch, fault):
     report = verify_strong_exceptional(builtin_collection("kapranovQ7"))
     true_obj = verify.report_to_obj
 
