@@ -95,12 +95,11 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
     O(t) is a line bundle, so Ext(E_a(t), E_b(s)) = Ext(E_a, E_b(s - t)):
     each pair is keyed by a untwisted to 0 at the crossed node and b
     shifted by the same amount, and every pair of a class shares one
-    (frozen) table.  A class is computed at its first pair's own weights,
-    which keeps the Levi characters it asks for those of the bundles, so
-    the character memo serves collections whose pairs share no class.
-    The report keeps the collection and so its root system; the character
-    and dimension memos filled by the run are emptied on return, so that a
-    kept report does not also keep them.
+    (frozen) table.  Below that, levi_tensor computes each product once
+    per pair of Levi parts.  The report keeps the collection and so its
+    root system; the character, dimension and tensor memos filled by the
+    run are emptied on return, so that a kept report does not also keep
+    them.
 
     A collection whose certificate would pass MAX_DEGREE_ENTRIES is refused
     before any pair is computed.
@@ -135,6 +134,7 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
     finally:
         rs.char_memo.clear()
         rs.dim_memo.clear()
+        rs.tensor_memo.clear()
     return VerificationReport(coll, tables, violations, time.monotonic() - start)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import weylbott
-from weylbott import RootSystem, Subsystem, get_preset
+from weylbott import CartanMatrix, RootSystem, Subsystem, get_preset
 from weylbott.characters import char_mul, irrep_character, weyl_dim
 from weylbott.errors import NotDominant
 from weylbott.parabolic import (
@@ -197,6 +197,49 @@ def test_levi_tensor_on_quadric(quadric7):
     assert graded_rank(quadric7, prod) == 64
 
 
+G2 = ((2, -1), (-3, 2))
+G2_T = ((2, -3), (-1, 2))
+C3 = ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
+# Crossed node not 1 (E6/P6, D5/P5, C3/P3), a Levi that is not simply laced
+# (B4/P1), and G2 in both orientations, whose Levi is then the short and the
+# long root.
+EQUIVARIANCE_SETUPS = {
+    "E6/P1": (get_preset("E6-paper").entries, 1),
+    "E6/P6": (get_preset("E6-paper").entries, 6),
+    "D5/P5": (get_preset("D5").entries, 5),
+    "B4/P1": (get_preset("B4").entries, 1),
+    "G2/P1": (G2, 1),
+    "G2t/P1": (G2_T, 1),
+    "C3/P3": (C3, 3),
+}
+
+
+@pytest.mark.parametrize("rows, crossed", EQUIVARIANCE_SETUPS.values(), ids=EQUIVARIANCE_SETUPS)
+def test_levi_tensor_is_twist_equivariant(rows, crossed):
+    rng = random.Random(f"{rows}/{crossed}")
+
+    def fresh():
+        return make_setup(RootSystem(CartanMatrix(rows)), crossed)
+
+    for _ in range(6):
+        setup = fresh()
+        rs, levi = setup.rs, setup.levi
+        a, b = (random_l_dominant(rng, rs, crossed, 300, partial(bundle_rank, setup)) for _ in range(2))
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        a_s, b_t = twist(setup, a, s), twist(setup, b, t)
+        cold = levi_tensor(setup, a_s, b_t)
+        oracle = strip_full_support(
+            rs, levi, char_mul(irrep_character(rs, levi, a_s), irrep_character(rs, levi, b_t))
+        )
+        assert cold == oracle
+        # the memo filled by another twist, with the factors swapped, serves this one
+        warm = fresh()
+        levi_tensor(warm, twist(warm, b, t + 1), twist(warm, a, s - 3))
+        assert len(warm.rs.tensor_memo) == 1
+        assert levi_tensor(warm, a_s, b_t) == cold
+        assert len(warm.rs.tensor_memo) == 1
+
+
 # -- branching ----------------------------------------------------------------------
 
 
@@ -250,6 +293,10 @@ s_dual = (-1, 0, 0, 0, 0, 1)
 v27 = characters.irrep_character(rs, Subsystem.full(6), (0, 0, 0, 0, 0, 1))
 calls = {
     "levi_tensor": lambda: parabolic.levi_tensor(setup, s_dual, s_dual),
+    # the same product twisted by 1 and 2: the failed one left no memo entry
+    "levi_tensor(1,2)": lambda: parabolic.levi_tensor(
+        setup, parabolic.twist(setup, s_dual, 1), parabolic.twist(setup, s_dual, 2)
+    ),
     "decompose": lambda: characters.decompose(rs, setup.levi, v27),
 }
 for name, call in calls.items():
@@ -259,6 +306,8 @@ for name, call in calls.items():
         print(name, exc)
     else:
         sys.exit(f"{name} accepted a wrong rank")
+if rs.tensor_memo:
+    sys.exit(f"a failed product was memoized: {rs.tensor_memo}")
 """
 
 
@@ -273,7 +322,7 @@ def test_levi_tensor_invariants_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["levi_tensor", "decompose"]
+    assert [line.split()[0] for line in lines] == ["levi_tensor", "levi_tensor(1,2)", "decompose"]
     assert all("rank bookkeeping failed" in line for line in lines), lines
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import weylbott.bbw as bbw
+import weylbott.characters as characters
+import weylbott.parabolic as parabolic
 import weylbott.presets as presets
 import weylbott.verify as verify
 from weylbott import RootSystem, get_preset
@@ -186,20 +188,17 @@ def test_hom_matrix_values(cayley):
 def test_report_deterministic_across_memo_states():
     coll = builtin_collection("kapranovQ7")
     rs = coll.setup.rs
-    assert rs.char_memo == {}
-    assert rs.dim_memo == {}
+    memos = (rs.char_memo, rs.dim_memo, rs.tensor_memo)
+    assert memos == ({}, {}, {})
     cold = report_to_json(verify_strong_exceptional(coll))
-    # a finished run leaves no characters or dimensions behind
-    assert rs.char_memo == {}
-    assert rs.dim_memo == {}
+    # a finished run leaves no characters, dimensions or tensor products behind
+    assert memos == ({}, {}, {})
     for a in coll.bundles:
         for b in coll.bundles:
             ext_table(coll.setup, a, b)
-    assert rs.char_memo
-    assert rs.dim_memo
+    assert all(memos)
     warm = report_to_json(verify_strong_exceptional(coll))
-    assert rs.char_memo == {}
-    assert rs.dim_memo == {}
+    assert memos == ({}, {}, {})
     fresh = report_to_json(verify_strong_exceptional(builtin_collection("kapranovQ7")))
     assert cold == warm == fresh
 
@@ -351,6 +350,23 @@ def test_cayley27_cold_run_makes_one_levi_tensor_per_class(monkeypatch):
     assert report.pairs_checked == 729
     assert len(calls) <= 153
     assert len({id(t) for t in report.tables}) == len(calls)
+
+
+@pytest.mark.parametrize("name, sums, runs", [("cayley27", 6, 3), ("kapranovQ7", 3, 2)])
+def test_one_levi_tensor_per_pair_of_levi_parts(monkeypatch, name, sums, runs):
+    # cayley27's 27 bundles twist 3 Levi parts, so its 153 Ext classes need the
+    # 6 unordered products of their duals with them, from 3 characters
+    counts = {"brauer_klimyk": 0, "_freudenthal": 0}
+    for module, attr in ((parabolic, "brauer_klimyk"), (characters, "_freudenthal")):
+        true_fn = getattr(module, attr)
+
+        def counting(*args, true_fn=true_fn, attr=attr):
+            counts[attr] += 1
+            return true_fn(*args)
+
+        monkeypatch.setattr(module, attr, counting)
+    verify_strong_exceptional(builtin_collection(name))
+    assert counts == {"brauer_klimyk": sums, "_freudenthal": runs}
 
 
 def test_timing_excluded_by_default():
