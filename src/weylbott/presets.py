@@ -97,10 +97,6 @@ def read_json(path: str):
             raise ValueError(f"{path}: {exc}") from None
 
 
-# Leaves whose text does not depend on their value: null and the empty containers.
-_LITERALS = {type(None): "null", dict: "{}", list: "[]", tuple: "[]"}
-
-
 def to_json(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) byte for byte, for str keys, but a list or dict met
     twice is laid out once per depth and its text reused; ids key them, as obj keeps each alive."""
@@ -114,12 +110,11 @@ def to_json(obj) -> str:
     def write(x, pad: str, out: list[str], reuse: bool = True) -> list[str]:
         inner = pad + "  "
         if not isinstance(x, (dict, list, tuple)) or not x:
-            t = type(x)
             out.append(
-                str(x) if t is int
-                else _encode_str(x) if t is str
-                else ("true" if x else "false") if t is bool
-                else _LITERALS[t] if t in _LITERALS  # None or an empty container
+                str(x) if type(x) is int
+                else _encode_str(x) if type(x) is str
+                else "null" if x is None else "true" if x is True else "false" if x is False
+                else "{}" if isinstance(x, dict) else "[]" if isinstance(x, (list, tuple))  # empty here
                 else json.dumps(x)
             )
         elif reuse and id(x) in shared:
