@@ -15,7 +15,7 @@ from typing import Optional
 from .characters import weyl_dim
 from .errors import EngineError
 from .lie_core import Weight
-from .parabolic import ParabolicSetup, bundle_dual, check_bundle, levi_tensor
+from .parabolic import GradedBundle, ParabolicSetup, bundle_dual, check_bundle, levi_tensor
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,20 @@ class ExtTable:
     weights: list[list[tuple[Weight, int]]]
 
 
-def ext_table(setup: ParabolicSetup, a: Weight, b: Weight) -> ExtTable:
-    """Ext^k(E_a, E_b) = H^k(X, E_a^dual (x) E_b), degree by degree."""
+def cohomology_table(setup: ParabolicSetup, summands: GradedBundle) -> ExtTable:
+    """H^k(X, E) for E a direct sum of irreducible bundles, degree by degree:
+    each summand adds its one nonzero group, if any, times its multiplicity."""
     dims = [0] * (setup.dim_x + 1)
     modules: list[dict[Weight, int]] = [{} for _ in dims]
-    for w, mult in levi_tensor(setup, bundle_dual(setup, a), b):
+    for w, mult in summands:
         res = cohomology(setup, w)
         if not res.is_zero:
             dims[res.degree] += res.dim * mult
             found = modules[res.degree]
             found[res.g_weight] = found.get(res.g_weight, 0) + mult
     return ExtTable(dims, [sorted(found.items()) for found in modules])
+
+
+def ext_table(setup: ParabolicSetup, a: Weight, b: Weight) -> ExtTable:
+    """Ext^k(E_a, E_b) = H^k(X, E_a^dual (x) E_b), degree by degree."""
+    return cohomology_table(setup, levi_tensor(setup, bundle_dual(setup, a), b))

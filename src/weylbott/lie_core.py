@@ -158,8 +158,6 @@ class RootSystem:
         self.char_memo: dict[tuple[tuple[int, ...], Weight], dict[Weight, int]] = {}
         # Weyl dimensions by the same key, filled by characters.weyl_dim.
         self.dim_memo: dict[tuple[tuple[int, ...], Weight], int] = {}
-        # Levi tensor products by (levi nodes, sorted untwisted factors), filled by parabolic.levi_tensor.
-        self.tensor_memo: dict[tuple[tuple[int, ...], Weight, Weight], list[tuple[Weight, int]]] = {}
 
     # -- construction -------------------------------------------------
 

@@ -71,27 +71,17 @@ def bundle_c1(setup: ParabolicSetup, w: Weight) -> int:
 def levi_tensor(setup: ParabolicSetup, a: Weight, b: Weight) -> GradedBundle:
     """Decomposition of E_a (x) E_b into irreducible bundles, lowest weight first.
 
-    O(1) is a character of the Levi, so E_a(s) (x) E_b(t) is E_a (x) E_b twisted
-    by s + t, in the same order.  The product of the factors untwisted at the
-    crossed node is kept in rs.tensor_memo by their unordered pair once checked:
-    the Brauer-Klimyk sum over the weights of the smaller factor, with the other
-    factor's highest weight on top; every multiplicity must be positive.
+    The Brauer-Klimyk sum over the weights of the smaller factor, with the
+    other factor's highest weight on top; every multiplicity must be positive.
     """
     a = check_bundle(setup, a)
     b = check_bundle(setup, b)
-    i = setup.crossed - 1
-    a0, b0 = sorted(w[:i] + (0,) + w[i + 1:] for w in (a, b))
-    key = (setup.levi.nodes, a0, b0)
-    out = setup.rs.tensor_memo.get(key)
-    if out is None:
-        if bundle_rank(setup, a0) > bundle_rank(setup, b0):
-            a0, b0 = b0, a0
-        acc = brauer_klimyk(setup.rs, setup.levi, bundle_char(setup, a0), b0)
-        if any(m <= 0 for m in acc.values()):
-            raise EngineError(f"tensor product of {a} and {b} has a non-positive multiplicity")
-        out = setup.rs.tensor_memo[key] = sorted(acc.items(), key=lambda t: setup.rs.sort_key(t[0]))
-    shift = a[i] + b[i]
-    return [(w[:i] + (w[i] + shift,) + w[i + 1:], m) for w, m in out]
+    if bundle_rank(setup, a) > bundle_rank(setup, b):
+        a, b = b, a
+    acc = brauer_klimyk(setup.rs, setup.levi, bundle_char(setup, a), b)
+    if any(m <= 0 for m in acc.values()):
+        raise EngineError(f"tensor product of {a} and {b} has a non-positive multiplicity")
+    return sorted(acc.items(), key=lambda t: setup.rs.sort_key(t[0]))
 
 
 def branch(setup: ParabolicSetup, lam: Weight) -> GradedBundle:

@@ -13,11 +13,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bbw import ExtTable, ext_table
+from .bbw import ExtTable, cohomology_table
 from .characters import orbit_size
 from .errors import GuardrailExceeded
 from .lie_core import RootSystem, Weight
-from .parabolic import ParabolicSetup, check_bundle, make_setup, twist
+from .parabolic import GradedBundle, ParabolicSetup, bundle_dual, check_bundle, levi_tensor, make_setup, twist
 from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, read_json, require_keys, to_json
 
 
@@ -92,14 +92,15 @@ def _check_pair(i: int, j: int, table: ExtTable) -> list[Violation]:
 def verify_strong_exceptional(coll: Collection) -> VerificationReport:
     """Check all ordered pairs; never stops early, so reports are exhaustive.
 
-    O(t) is a line bundle, so Ext(E_a(t), E_b(s)) = Ext(E_a, E_b(s - t)):
-    each pair is keyed by a untwisted to 0 at the crossed node and b
-    shifted by the same amount, and every pair of a class shares one
-    (frozen) table.  Below that, levi_tensor computes each product once
-    per pair of Levi parts.  The report keeps the collection and so its
-    root system; the character, dimension and tensor memos filled by the
-    run are emptied on return, so that a kept report does not also keep
-    them.
+    O(1) is a character of the Levi, so E_a^dual (x) E_b is the product of
+    the two factors untwisted at the crossed node, twisted by the sum of
+    their crossed coordinates.  Each ordered pair is keyed by that unordered
+    pair of untwisted factors and that sum; levi_tensor runs once per
+    unordered pair, cohomology_table once per key on the product so
+    shifted, and every pair of a key shares one (frozen) table.  The report
+    keeps the collection and so its root system; the character and
+    dimension memos filled by the run are emptied on return, so that a kept
+    report does not also keep them.
 
     A collection whose certificate would pass MAX_DEGREE_ENTRIES is refused
     before any pair is computed.
@@ -117,24 +118,27 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
             " objects, the rank of K_0"
         )
     start = time.monotonic()
-    memo: dict[tuple[Weight, Weight], ExtTable] = {}
-    tables: list[ExtTable] = []
-    violations: list[Violation] = []
+
+    def untwist(w: Weight) -> tuple[Weight, int]:
+        return w[:c] + (0,) + w[c + 1:], w[c]
+
+    left = [untwist(bundle_dual(setup, a)) for a in coll.bundles]
+    right = [untwist(b) for b in coll.bundles]
+    keys = [(min(p, q), max(p, q), s + t) for p, s in left for q, t in right]
+    products: dict[tuple[Weight, Weight], GradedBundle] = {}
+    classes: dict[tuple[Weight, Weight, int], ExtTable] = {}
     try:
-        for i, a in enumerate(coll.bundles, 1):
-            t = -a[c]
-            a0 = twist(setup, a, t)
-            for j, b in enumerate(coll.bundles, 1):
-                b0 = twist(setup, b, t)
-                table = memo.get((a0, b0))
-                if table is None:
-                    table = memo[a0, b0] = ext_table(setup, a, b)
-                tables.append(table)
-                violations.extend(_check_pair(i, j, table))
+        for p, q, shift in dict.fromkeys(keys):
+            if (p, q) not in products:
+                products[p, q] = levi_tensor(setup, p, q)
+            classes[p, q, shift] = cohomology_table(
+                setup, [(w[:c] + (w[c] + shift,) + w[c + 1:], m) for w, m in products[p, q]]
+            )
     finally:
         rs.char_memo.clear()
         rs.dim_memo.clear()
-        rs.tensor_memo.clear()
+    tables = [classes[k] for k in keys]
+    violations = [v for k, t in enumerate(tables) for v in _check_pair(k // n + 1, k % n + 1, t)]
     return VerificationReport(coll, tables, violations, time.monotonic() - start)
 
 

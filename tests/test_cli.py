@@ -402,7 +402,8 @@ def test_verify_size_guardrail_exit(capsys, tmp_path, monkeypatch):
     def no_pair(*args):
         raise AssertionError("an Ext table was computed")
 
-    monkeypatch.setattr(weylbott.verify, "ext_table", no_pair)
+    monkeypatch.setattr(weylbott.verify, "levi_tensor", no_pair)
+    monkeypatch.setattr(weylbott.verify, "cohomology_table", no_pair)
     bundles = [{"weight": [t, 0, 0, 0, 0, 0]} for t in range(243)]
     obj = {"name": "O(0..242)", "preset": "E6-paper", "crossed": 1, "bundles": bundles}
     code, out, err = run_on_file(capsys, tmp_path, obj, "verify")

@@ -216,28 +216,22 @@ EQUIVARIANCE_SETUPS = {
 
 @pytest.mark.parametrize("rows, crossed", EQUIVARIANCE_SETUPS.values(), ids=EQUIVARIANCE_SETUPS)
 def test_levi_tensor_is_twist_equivariant(rows, crossed):
+    # O(1) is a character of the Levi, so E_a(s) (x) E_b(t) is E_a (x) E_b
+    # twisted by s + t: verify_strong_exceptional tensors the untwisted
+    # factors once and shifts the product
     rng = random.Random(f"{rows}/{crossed}")
-
-    def fresh():
-        return make_setup(RootSystem(CartanMatrix(rows)), crossed)
-
+    setup = make_setup(RootSystem(CartanMatrix(rows)), crossed)
+    rs, levi = setup.rs, setup.levi
+    rank = partial(bundle_rank, setup)
     for _ in range(6):
-        setup = fresh()
-        rs, levi = setup.rs, setup.levi
-        a, b = (random_l_dominant(rng, rs, crossed, 300, partial(bundle_rank, setup)) for _ in range(2))
+        a, b = (random_l_dominant(rng, rs, crossed, 300, rank, crossed_range=(0, 0)) for _ in range(2))
         s, t = rng.randint(-3, 3), rng.randint(-3, 3)
         a_s, b_t = twist(setup, a, s), twist(setup, b, t)
-        cold = levi_tensor(setup, a_s, b_t)
+        shifted = [(twist(setup, w, s + t), m) for w, m in levi_tensor(setup, a, b)]
         oracle = strip_full_support(
             rs, levi, char_mul(irrep_character(rs, levi, a_s), irrep_character(rs, levi, b_t))
         )
-        assert cold == oracle
-        # the memo filled by another twist, with the factors swapped, serves this one
-        warm = fresh()
-        levi_tensor(warm, twist(warm, b, t + 1), twist(warm, a, s - 3))
-        assert len(warm.rs.tensor_memo) == 1
-        assert levi_tensor(warm, a_s, b_t) == cold
-        assert len(warm.rs.tensor_memo) == 1
+        assert levi_tensor(setup, a_s, b_t) == shifted == oracle
 
 
 # -- branching ----------------------------------------------------------------------
@@ -293,7 +287,7 @@ s_dual = (-1, 0, 0, 0, 0, 1)
 v27 = characters.irrep_character(rs, Subsystem.full(6), (0, 0, 0, 0, 0, 1))
 calls = {
     "levi_tensor": lambda: parabolic.levi_tensor(setup, s_dual, s_dual),
-    # the same product twisted by 1 and 2: the failed one left no memo entry
+    # the same product twisted by 1 and 2
     "levi_tensor(1,2)": lambda: parabolic.levi_tensor(
         setup, parabolic.twist(setup, s_dual, 1), parabolic.twist(setup, s_dual, 2)
     ),
@@ -306,8 +300,6 @@ for name, call in calls.items():
         print(name, exc)
     else:
         sys.exit(f"{name} accepted a wrong rank")
-if rs.tensor_memo:
-    sys.exit(f"a failed product was memoized: {rs.tensor_memo}")
 """
 
 

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import weylbott.bbw as bbw
 import weylbott.characters as characters
 import weylbott.parabolic as parabolic
 import weylbott.presets as presets
@@ -15,7 +14,8 @@ import weylbott.verify as verify
 from weylbott import RootSystem, get_preset
 from weylbott.bbw import ext_table
 from weylbott.errors import GuardrailExceeded
-from weylbott.parabolic import bundle_rank, line_bundle, make_setup, twist
+from weylbott.ledger import builtin_ledger, check_ledger
+from weylbott.parabolic import bundle_rank, levi_tensor, line_bundle, make_setup, twist
 from weylbott.verify import (
     Collection,
     VerificationReport,
@@ -37,9 +37,9 @@ from oracles import per_pair_tables, random_l_dominant
 ZERO6 = (0,) * 6
 S_DUAL = (-1, 0, 0, 0, 0, 1)
 
-# Setups whose crossed node is not node 1 (E6/P6, D5/P5) or whose Levi is
-# not simply laced (B4/P1).
-TWIST_SETUPS = (("E6-paper", 6), ("D5", 5), ("B4", 1))
+# The paper's setup (E6/P1), setups whose crossed node is not node 1 (E6/P6,
+# D5/P5), and one whose Levi is not simply laced (B4/P1).
+TWIST_SETUPS = (("E6-paper", 1), ("E6-paper", 6), ("D5", 5), ("B4", 1))
 
 
 def twisted_collection(preset: str, crossed: int, seed: int) -> Collection:
@@ -160,7 +160,8 @@ def test_size_guardrail_fires_before_any_pair(cayley, monkeypatch):
     def no_pair(*args):
         raise PairComputed
 
-    monkeypatch.setattr(verify, "ext_table", no_pair)
+    monkeypatch.setattr(verify, "levi_tensor", no_pair)
+    monkeypatch.setattr(verify, "cohomology_table", no_pair)
     lines = [line_bundle(cayley, t) for t in range(243)]
     with pytest.raises(GuardrailExceeded, match="1003833 degree entries.* more than 27 objects"):
         verify_strong_exceptional(Collection("O(0..242)", cayley, tuple(lines)))
@@ -188,22 +189,47 @@ def test_hom_matrix_values(cayley):
 def test_report_deterministic_across_memo_states():
     coll = builtin_collection("kapranovQ7")
     rs = coll.setup.rs
-    memos = (rs.char_memo, rs.dim_memo, rs.tensor_memo)
-    assert memos == ({}, {}, {})
+    memos = (rs.char_memo, rs.dim_memo)
+    assert memos == ({}, {})
     cold = report_to_json(verify_strong_exceptional(coll))
-    # a finished run leaves no characters, dimensions or tensor products behind
-    assert memos == ({}, {}, {})
+    # a finished run leaves no characters or dimensions behind
+    assert memos == ({}, {})
     for a in coll.bundles:
         for b in coll.bundles:
             ext_table(coll.setup, a, b)
     assert all(memos)
     warm = report_to_json(verify_strong_exceptional(coll))
-    assert memos == ({}, {}, {})
+    assert memos == ({}, {})
     fresh = report_to_json(verify_strong_exceptional(builtin_collection("kapranovQ7")))
     assert cold == warm == fresh
 
 
-# -- the twist-class memo --------------------------------------------------------------
+def test_engine_calls_add_no_cache_to_the_root_system():
+    # the character and dimension memos are the only caches a root system
+    # holds, and no call adds another: a cache keyed by pairs of bundles
+    # would grow quadratically for a caller that keeps the root system
+    coll = builtin_collection("cayley27")  # the ledger's identities live on E6/P1
+    setup, rs = coll.setup, coll.setup.rs
+    attrs = set(vars(rs))
+    caches = {k for k, v in vars(rs).items() if isinstance(v, dict)}
+    assert caches == {"_sub_roots", "char_memo", "dim_memo"}
+    a, b = coll.bundles[0], coll.bundles[4]
+    levi_tensor(setup, a, b)
+    ext_table(setup, a, b)
+    verify_strong_exceptional(coll)
+    check_ledger(setup, builtin_ledger())
+    assert set(vars(rs)) == attrs
+
+
+# -- Ext classes ------------------------------------------------------------------------
+
+
+def untwisted_classes(coll: Collection) -> int:
+    """The number of (a untwisted, b shifted by the same amount) classes: the
+    ordered pairs that share a table because O(t) is a line bundle."""
+    setup = coll.setup
+    c = setup.crossed - 1
+    return len({(twist(setup, a, -a[c]), twist(setup, b, -a[c])) for a in coll.bundles for b in coll.bundles})
 
 
 def naive_report(coll: Collection) -> VerificationReport:
@@ -244,7 +270,8 @@ CERTIFIED = {
 def test_memoized_report_matches_per_pair_path(make):
     coll = make()
     report = verify_strong_exceptional(coll)
-    assert len({id(t) for t in report.tables}) < report.pairs_checked  # the memo was hit
+    # pairs of one class share a table, and so may classes whose factors swap
+    assert len({id(t) for t in report.tables}) <= untwisted_classes(coll) < report.pairs_checked
     naive = naive_report(coll)
     n = len(coll.bundles)
     differ = [divmod(k, n) for k, (x, y) in enumerate(zip(report.tables, naive.tables)) if x != y]
@@ -288,7 +315,7 @@ def test_certificate_survives_any_name(cayley, name):
         assert json.loads(text)["collection"]["name"] == name
 
 
-@pytest.mark.parametrize("name, entries, distinct", [("cayley27", 2601, 76), ("kapranovQ7", 224, 20)])
+@pytest.mark.parametrize("name, entries, distinct", [("cayley27", 2108, 76), ("kapranovQ7", 192, 20)])
 def test_equal_degree_entries_are_converted_and_encoded_once(monkeypatch, name, entries, distinct):
     report = verify_strong_exceptional(builtin_collection(name))
     tables = {id(e["table"]): e["table"] for e in report_to_obj(report)["tables"]}.values()
@@ -337,19 +364,34 @@ def test_ext_table_depends_on_twist_difference(preset, crossed):
         )
 
 
-def test_cayley27_cold_run_makes_one_levi_tensor_per_class(monkeypatch):
-    calls = []
-    true_levi_tensor = bbw.levi_tensor
+@pytest.mark.parametrize("name, products, classes", [("cayley27", 6, 124), ("kapranovQ7", 3, 24)])
+def test_cold_run_makes_one_table_per_ext_class(monkeypatch, name, products, classes):
+    # one levi_tensor per unordered pair of untwisted factors, one table per
+    # (unordered pair, sum of their twists)
+    calls = {"levi_tensor": 0, "cohomology_table": 0}
+    for attr in calls:
+        true_fn = getattr(verify, attr)
 
-    def counting(setup, a, b):
-        calls.append((a, b))
-        return true_levi_tensor(setup, a, b)
+        def counting(*args, true_fn=true_fn, attr=attr):
+            calls[attr] += 1
+            return true_fn(*args)
 
-    monkeypatch.setattr(bbw, "levi_tensor", counting)
-    report = verify_strong_exceptional(builtin_collection("cayley27"))
-    assert report.pairs_checked == 729
-    assert len(calls) <= 153
-    assert len({id(t) for t in report.tables}) == len(calls)
+        monkeypatch.setattr(verify, attr, counting)
+    coll = builtin_collection(name)
+    report = verify_strong_exceptional(coll)
+    assert report.pairs_checked == len(coll.bundles) ** 2
+    assert calls == {"levi_tensor": products, "cohomology_table": classes}
+    assert len({id(t) for t in report.tables}) == classes
+
+
+def test_classes_whose_factors_swap_share_a_table():
+    # E_a^dual (x) E_b depends on the unordered pair of factors, so the
+    # classes of (a untwisted, b shifted) merge where the factors swap
+    merged = (
+        (len({id(t) for t in verify_strong_exceptional(make()).tables}), untwisted_classes(make()))
+        for make in CERTIFIED.values()
+    )
+    assert any(tables < classes for tables, classes in merged)
 
 
 @pytest.mark.parametrize("name, sums, runs", [("cayley27", 6, 3), ("kapranovQ7", 3, 2)])
