@@ -9,8 +9,7 @@ weight.  Ext tables between bundles follow by tensoring with the dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .characters import weyl_dim
 from .errors import EngineError
@@ -18,8 +17,7 @@ from .lie_core import Weight
 from .parabolic import GradedBundle, ParabolicSetup, bundle_dual, check_bundle, levi_tensor
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     """Cohomology of one irreducible bundle: at most one nonzero degree."""
 
     degree: Optional[int]
@@ -43,8 +41,7 @@ def cohomology(setup: ParabolicSetup, w: Weight) -> CohomologyResult:
     return CohomologyResult(length, g, weyl_dim(rs, rs.full, g))
 
 
-@dataclass(frozen=True)
-class ExtTable:
+class ExtTable(NamedTuple):
     """Ext^k for k = 0..dim X: the dimension, and the G-modules (highest
     weight, multiplicity) in increasing weight order, degree by degree."""
 

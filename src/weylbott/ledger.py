@@ -28,9 +28,8 @@ exactly the granularity the checked statements live at.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .characters import (
     Character,
@@ -259,7 +258,6 @@ def eval_expr(setup: ParabolicSetup, expr: Evaluator) -> Character:
 # -- identities -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Identity:
     """Either an isomorphism (two terms) or an exact sequence (any length).
 
@@ -267,23 +265,20 @@ class Identity:
     syntax error in a ledger surfaces before any term is evaluated.
     """
 
-    name: str
-    kind: str  # "iso" | "exactseq"
-    terms: tuple[str, ...]
-    evaluators: tuple[Evaluator, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "kind", "terms", "evaluators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "evaluators", tuple(parse_expr(t) for t in self.terms))
-        if self.kind not in ("iso", "exactseq"):
-            raise ValueError(f"kind must be iso or exactseq, got {self.kind!r}")
-        if self.kind == "iso" and len(self.terms) != 2:
+    def __init__(self, name: str, kind: str, terms: tuple[str, ...]) -> None:
+        self.name, self.kind, self.terms = name, kind, terms
+        self.evaluators: tuple[Evaluator, ...] = tuple(parse_expr(t) for t in terms)
+        if kind not in ("iso", "exactseq"):
+            raise ValueError(f"kind must be iso or exactseq, got {kind!r}")
+        if kind == "iso" and len(terms) != 2:
             raise ValueError("an isomorphism needs exactly two terms")
-        if self.kind == "exactseq" and len(self.terms) < 2:
+        if kind == "exactseq" and len(terms) < 2:
             raise ValueError("an exact sequence needs at least two terms")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     kind: str
     passed: bool

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotDominant, NotFiniteType
 
@@ -31,36 +30,29 @@ def require_int(x, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
-@dataclass(frozen=True)
 class CartanMatrix:
-    """Integer Cartan matrix with entries[i][j] = <alpha_j, alpha_i^vee>."""
+    """Integer Cartan matrix with entries[i][j] = <alpha_j, alpha_i^vee>, from any iterable of rows."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = tuple(
-            tuple(require_int(x, "a Cartan matrix entry") for x in row) for row in self.entries
-        )
-        object.__setattr__(self, "entries", entries)
-        n = len(self.entries)
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        entries = tuple(tuple(require_int(x, "a Cartan matrix entry") for x in row) for row in entries)
+        n = len(entries)
         if n == 0:
             raise ValueError("empty Cartan matrix")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise ValueError("Cartan matrix must be square")
         for i in range(n):
-            if self.entries[i][i] != 2:
+            if entries[i][i] != 2:
                 raise ValueError(f"diagonal entry at node {i + 1} must be 2")
             for j in range(n):
                 if i != j:
-                    if self.entries[i][j] > 0:
+                    if entries[i][j] > 0:
                         raise ValueError(f"off-diagonal entry ({i + 1},{j + 1}) must be <= 0")
-                    if (self.entries[i][j] == 0) != (self.entries[j][i] == 0):
+                    if (entries[i][j] == 0) != (entries[j][i] == 0):
                         raise ValueError(f"zero pattern must be symmetric at ({i + 1},{j + 1})")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CartanMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        self.entries: tuple[tuple[int, ...], ...] = entries
 
     @property
     def rank(self) -> int:
@@ -96,8 +88,7 @@ def _symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
     return tuple(x // g for x in d)
 
 
-@dataclass(frozen=True)
-class PositiveRoot:
+class PositiveRoot(NamedTuple):
     """A positive root with its three exact coordinate vectors."""
 
     weight: Weight        # pairings <alpha, alpha_i^vee>
@@ -109,16 +100,15 @@ class PositiveRoot:
         return sum(self.simple_coords)
 
 
-@dataclass(frozen=True)
 class Subsystem:
     """Simple nodes (1-based) in increasing order, closed under nothing: just a label set."""
 
-    nodes: tuple[int, ...]
-    # The same nodes zero-based, as the Weyl walks index weights.
-    index: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", tuple(i - 1 for i in self.nodes))
+    def __init__(self, nodes: tuple[int, ...]) -> None:
+        self.nodes = nodes
+        # The same nodes zero-based, as the Weyl walks index weights.
+        self.index = tuple(i - 1 for i in nodes)
 
     @classmethod
     def full(cls, rank: int) -> "Subsystem":

@@ -7,7 +7,7 @@ twisting by O(t) adds t at the crossed coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import Character, brauer_klimyk, decompose, irrep_character, weyl_dim
 from .errors import EngineError
@@ -17,8 +17,7 @@ from .lie_core import RootSystem, Subsystem, Weight, require_int
 GradedBundle = list[tuple[Weight, int]]
 
 
-@dataclass(frozen=True)
-class ParabolicSetup:
+class ParabolicSetup(NamedTuple):
     """A root system with one crossed node and the derived geometry constants."""
 
     rs: RootSystem

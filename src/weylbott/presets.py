@@ -17,7 +17,7 @@ def _simply_laced(rank: int, edges: list[tuple[int, int]]) -> CartanMatrix:
     for i, j in edges:
         rows[i - 1][j - 1] = -1
         rows[j - 1][i - 1] = -1
-    return CartanMatrix.from_rows(rows)
+    return CartanMatrix(rows)
 
 
 def _type_b(rank: int) -> CartanMatrix:
@@ -25,7 +25,7 @@ def _type_b(rank: int) -> CartanMatrix:
     m = _simply_laced(rank, [(i, i + 1) for i in range(1, rank)])
     rows = [list(r) for r in m.entries]
     rows[rank - 1][rank - 2] = -2
-    return CartanMatrix.from_rows(rows)
+    return CartanMatrix(rows)
 
 
 PRESETS: dict[str, CartanMatrix] = {
@@ -83,7 +83,7 @@ def cartan_from_obj(obj: dict) -> CartanMatrix:
     rows = [as_int_list(row, "a Cartan matrix row") for row in entries]
     if len(rows) != rank:
         raise ValueError(f"entries has {len(rows)} rows, rank says {rank}")
-    return CartanMatrix.from_rows(rows)
+    return CartanMatrix(rows)
 
 
 def read_json(path: str):

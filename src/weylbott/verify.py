@@ -10,8 +10,7 @@ deterministic report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bbw import ExtTable, cohomology_table
 from .characters import orbit_size
@@ -26,41 +25,41 @@ from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_pr
 MAX_DEGREE_ENTRIES = 10 ** 6
 
 
-@dataclass(frozen=True)
 class Collection:
     """An ordered list of bundle weights on one parabolic setup."""
 
-    name: str
-    setup: ParabolicSetup
-    bundles: tuple[Weight, ...]
-    preset: Optional[str] = None          # name used to rebuild the Cartan matrix
-    blocks: Optional[tuple[int, ...]] = None  # display grouping, e.g. by twist
+    __slots__ = ("name", "setup", "bundles", "preset", "blocks")
 
-    def __post_init__(self):
-        if not self.bundles:
+    def __init__(
+        self,
+        name: str,
+        setup: ParabolicSetup,
+        bundles: tuple[Weight, ...],
+        preset: Optional[str] = None,  # name used to rebuild the Cartan matrix
+        blocks: Optional[tuple[int, ...]] = None,  # display grouping, e.g. by twist
+    ) -> None:
+        if not bundles:
             raise ValueError("a collection needs at least one bundle")
-        for w in self.bundles:
-            check_bundle(self.setup, w)
-        if self.blocks is not None and (
-            min(self.blocks, default=1) < 1 or sum(self.blocks) != len(self.bundles)
-        ):
+        for w in bundles:
+            check_bundle(setup, w)
+        if blocks is not None and (min(blocks, default=1) < 1 or sum(blocks) != len(bundles)):
             raise ValueError("block sizes must be positive and sum to the collection size")
+        self.name, self.setup, self.bundles = name, setup, bundles
+        self.preset, self.blocks = preset, blocks
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     pair: tuple[int, int]  # 1-based indices into the collection
     degree: int
     dim: int
     rule: str              # which exceptionality clause failed
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     collection: Collection
     tables: list[ExtTable]           # row-major over ordered pairs (i, j)
     violations: list[Violation]
-    elapsed_seconds: float = field(default=0.0)
+    elapsed_seconds: float = 0.0
 
     @property
     def verdict(self) -> str:
@@ -200,6 +199,8 @@ def collection_from_obj(obj: dict) -> Collection:
     if preset is not None:
         if not isinstance(preset, str):
             raise ValueError(f"preset must be a string, got {preset!r}")
+        if "cartan" in obj:
+            raise ValueError("a collection needs a preset or a cartan matrix, not both")
         cartan = get_preset(preset)
     elif "cartan" in obj:
         cartan = cartan_from_obj(obj["cartan"])

@@ -1,6 +1,5 @@
 """Cohomology by the dotted Weyl action, Ext tables, Euler and Serre checks."""
 
-import dataclasses
 import random
 from functools import partial
 
@@ -10,7 +9,9 @@ from weylbott import RootSystem, Subsystem, get_preset
 from weylbott.bbw import CohomologyResult, cohomology, ext_table
 from weylbott.characters import weyl_dim
 from weylbott.errors import NotDominant
+from weylbott.ledger import Identity, check_identity
 from weylbott.parabolic import bundle_dual, bundle_rank, levi_tensor, make_setup, twist
+from weylbott.verify import Violation
 
 from oracles import euler_characteristic, inversion_count, is_regular, random_l_dominant
 
@@ -187,5 +188,21 @@ def test_ext_table_equality(cayley):
     a = ext_table(cayley, ZERO6, S)
     assert a == ext_table(cayley, ZERO6, S)
     assert a != ext_table(cayley, ZERO6, (1, 0, 0, 0, 0, 0))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        a.dims = [0] * 17
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda s: ext_table(s, ZERO6, S), "dims"),  # one object shared by every pair of a class
+        (lambda s: cohomology(s, S), "degree"),
+        (lambda s: Violation((2, 1), 0, 27, "backward morphism"), "dim"),
+        (lambda s: check_identity(s, Identity("wrong", "iso", ("O(1)", "O"))), "passed"),
+        (lambda s: s.rs.positive_roots[0], "weight"),
+        (lambda s: s, "crossed"),
+    ],
+    ids=["ExtTable", "CohomologyResult", "Violation", "CheckResult", "PositiveRoot", "ParabolicSetup"],
+)
+def test_records_are_immutable(cayley, make, field):
+    record = make(cayley)
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))

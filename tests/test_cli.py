@@ -354,6 +354,26 @@ def test_kapranov_corpus(capsys, tmp_path, registry, k, n, reversed_violations):
     assert f" {reversed_violations} violation(s), verdict FAIL" in out.splitlines()[0]
 
 
+def test_kapranov_quadric_q8(capsys, tmp_path):
+    # Q^8 = D5/P1: the two spinor bundles S(-1) and S'(-1), then O, ..., O(7)
+    path = CORPUS / "kapranov-q8.json"
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert obj["cartan"]["entries"] == [list(row) for row in get_preset("D5").entries]
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 0
+    assert report["verdict"] == "pass" and report["size"] == 10 and report["violations"] == []
+    # the negative control: S and S' untwisted, placed before O, map to O nontrivially
+    obj["bundles"][:2] = [{"weight": [0, 0, 0, 1, 0]}, {"weight": [0, 0, 0, 0, 1]}]
+    moved = tmp_path / "q8-spinors-untwisted.json"
+    moved.write_text(json.dumps(obj))
+    code, report = run_json(capsys, "verify", str(moved))
+    assert code == 1
+    assert report["violations"] == [
+        {"pair": [3, 1], "degree": 0, "dim": 16, "rule": "backward morphism"},
+        {"pair": [3, 2], "degree": 0, "dim": 16, "rule": "backward morphism"},
+    ]
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 BUNDLE_ARGS = {
@@ -492,10 +512,12 @@ B4_POINT = {"preset": "B4", "crossed": 1, "bundles": [{"weight": [0, 0, 0, 0]}]}
         {**B4_POINT, "blocks": False},
         {**B4_POINT, "bundle": [{"weight": [0, 0, 0, 0]}]},
         {**B4_POINT, "bundles": [{"weight": [0, 0, 0, 0], "twist": 3}]},
+        # a preset and a Cartan matrix that disagree: neither may be dropped silently
+        {**B4_POINT, "cartan": {"rank": 2, "entries": [[2, -1], [-1, 2]]}},
     ],
     ids=[
         "null-weight", "scalar-entries", "no-bundles",
-        "integer-name", "false-blocks", "unknown-key", "bundle-twist",
+        "integer-name", "false-blocks", "unknown-key", "bundle-twist", "preset-and-cartan",
     ],
 )
 def test_malformed_collection_is_usage_error(capsys, tmp_path, registry, obj):
@@ -583,6 +605,21 @@ def test_closed_stdout_keeps_exit_code():
     assert head == b'{\n  "colle'
     assert code == 0
     assert err == b""
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # the records are NamedTuples and __slots__ classes: importing dataclasses,
+    # and inspect, ast, dis and tokenize with it, would add to every CLI call
+    src = str(Path(weylbott.__file__).resolve().parents[1])
+    probe = "import sys, weylbott.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 # -- random and malformed inputs ---------------------------------------------------

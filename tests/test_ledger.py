@@ -249,7 +249,7 @@ def test_ledger_json_round_trip(tmp_path):
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps(obj))
     loaded = load_ledger(str(path))
-    assert loaded == builtin_ledger()
+    assert list(map(identity_to_obj, loaded)) == list(map(identity_to_obj, builtin_ledger()))
     assert [identity_to_obj(i)["name"] for i in loaded] == [x["name"] for x in obj]
 
 
