@@ -61,46 +61,13 @@ GRADED_NOTE = (
 Evaluator = Callable[[ParabolicSetup], Character]
 
 
-def _irr(weight: Weight) -> Evaluator:
-    return lambda setup: bundle_char(setup, weight)
-
-
-def _rep(weight: Weight) -> Evaluator:
-    return lambda setup: irrep_character(setup.rs, setup.rs.full, setup.rs.check_rank(weight))
-
-
 def _triv(setup: ParabolicSetup) -> Character:
     return {(0,) * setup.rs.rank: 1}
 
 
-def _twist(e: Evaluator, t: int) -> Evaluator:
-    return lambda setup: char_twist(e(setup), setup.crossed, t)
-
-
-def _dual(e: Evaluator) -> Evaluator:
-    return lambda setup: char_dual(e(setup))
-
-
-def _tensor(factors: list[Evaluator]) -> Evaluator:
-    return lambda setup: reduce(char_mul, (f(setup) for f in factors))
-
-
-def _oplus(terms: list[Evaluator]) -> Evaluator:
-    return lambda setup: reduce(char_add, (t(setup) for t in terms), {})
-
-
-def _power(e: Evaluator, k: int, kind: str) -> Evaluator:
-    def power(setup: ParabolicSetup) -> Character:
-        c = e(setup)  # evaluated for k = 0 too, so that its errors still surface
-        # the zeroth power is O even of a zero character, whose rank power_op cannot see
-        return power_op(c, k, kind) if k else _triv(setup)
-
-    return power
-
-
 # -- parsing -----------------------------------------------------------------
 
-# Groups are the one recursive rule, at five parser frames a level; this bound
+# Groups are the one recursive rule, at seven parser frames a level; this bound
 # keeps the parser far below Python's recursion limit (the built-in ledger
 # nests 2 deep).
 MAX_NESTING = 64
@@ -113,7 +80,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
@@ -158,18 +125,25 @@ class _Parser:
         return e
 
     def expr(self) -> Evaluator:
-        terms = [self.term()]
-        while self.peek()[1] == "+":
-            self.next()
-            terms.append(self.term())
-        return terms[0] if len(terms) == 1 else _oplus(terms)
+        return self.sequence("+", self.term, char_add)
 
     def term(self) -> Evaluator:
-        factors = [self.atom()]
-        while self.peek()[1] == "*":
+        return self.sequence("*", self.atom, char_mul)
+
+    def sequence(
+        self,
+        op: str,
+        item: Callable[[], Evaluator],
+        combine: Callable[[Character, Character], Character],
+    ) -> Evaluator:
+        """item (op item)*: one item as it is, more folded through combine."""
+        items = [item()]
+        while self.peek()[1] == op:
             self.next()
-            factors.append(self.atom())
-        return factors[0] if len(factors) == 1 else _tensor(factors)
+            items.append(item())
+        if len(items) == 1:
+            return items[0]
+        return lambda setup: reduce(combine, (e(setup) for e in items))
 
     def atom(self) -> Evaluator:
         e = self.primary()
@@ -184,7 +158,10 @@ class _Parser:
             self.next()
             twists.append(int(self.next()[1]))
             self.next()
-        return _twist(e, sum(twists)) if twists else e
+        if not twists:
+            return e
+        t = sum(twists)
+        return lambda setup: char_twist(e(setup), setup.crossed, t)
 
     def weight_list(self) -> Weight:
         self.expect("[")
@@ -233,17 +210,27 @@ class _Parser:
             raise ParseError(offset, "one of E, V, O, wedge, sym, dual, gr")
         self.next()
         if val == "E":
-            return _irr(self.weight_list())
+            w = self.weight_list()
+            return lambda setup: bundle_char(setup, w)
         if val == "V":
-            return _rep(self.weight_list())
+            w = self.weight_list()
+            return lambda setup: irrep_character(setup.rs, setup.rs.full, setup.rs.check_rank(w))
         if val == "O":
             return _triv
         if val == "dual":
-            return _dual(self.group())
+            e = self.group()
+            return lambda setup: char_dual(e(setup))
         if val == "gr":
             return self.group()  # the associated graded has the same character
         k = self.power()
-        return _power(self.group(), k, val)
+        e = self.group()
+
+        def power(setup: ParabolicSetup) -> Character:
+            c = e(setup)  # evaluated for k = 0 too, so that its errors still surface
+            # the zeroth power is O even of a zero character, whose rank power_op cannot see
+            return power_op(c, k, val) if k else _triv(setup)
+
+        return power
 
 
 def parse_expr(text: str) -> Evaluator:
@@ -400,14 +387,11 @@ _BUILTIN: tuple[tuple[str, str, tuple[str, ...]], ...] = (
 
 def builtin_ledger() -> list[Identity]:
     """The shipped identity list for the E6-paper setup with node 1 crossed."""
-    return identities_from_obj(builtin_ledger_obj())
+    return [Identity(name, kind, terms) for name, kind, terms in _BUILTIN]
 
 
 def builtin_ledger_obj() -> list[dict]:
-    return [
-        {"name": name, "kind": kind, "terms": list(terms)}
-        for name, kind, terms in _BUILTIN
-    ]
+    return [identity_to_obj(i) for i in builtin_ledger()]
 
 
 def identities_from_obj(data: list) -> list[Identity]:
@@ -424,7 +408,7 @@ def identities_from_obj(data: list) -> list[Identity]:
             raise ValueError(f"an identity needs a string name and kind, got {item!r}")
         if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
             raise ValueError(f"terms of {name!r} must be a list of strings, got {terms!r}")
-        out.append(Identity(name, kind.lower(), tuple(terms)))
+        out.append(Identity(name, kind, tuple(terms)))
     return out
 
 
@@ -433,11 +417,7 @@ def load_ledger(path: str) -> list[Identity]:
 
 
 def identity_to_obj(ident: Identity) -> dict:
-    return {
-        "name": ident.name,
-        "kind": ident.kind,
-        "terms": list(ident.terms),
-    }
+    return {"name": ident.name, "kind": ident.kind, "terms": list(ident.terms)}
 
 
 def check_ledger(

@@ -196,7 +196,7 @@ def collection_from_obj(obj: dict) -> Collection:
     if not isinstance(name, str):
         raise ValueError(f"name must be a string, got {name!r}")
     preset = obj.get("preset")
-    if preset is not None:
+    if "preset" in obj:
         if not isinstance(preset, str):
             raise ValueError(f"preset must be a string, got {preset!r}")
         if "cartan" in obj:

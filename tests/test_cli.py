@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes and schema conformance."""
 
 import contextlib
+import functools
 import hashlib
 import importlib.resources
 import io
@@ -12,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -37,17 +39,22 @@ SCHEMA_FILES = [
 ]
 
 
+@functools.cache
 def _load_schema(name):
     path = importlib.resources.files("weylbott.schemas").joinpath(name)
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@pytest.fixture(scope="module")
-def registry():
+def schema_registry():
     reg = Registry()
     for name in SCHEMA_FILES:
         reg = reg.with_resource(name, Resource.from_contents(_load_schema(name)))
     return reg
+
+
+@pytest.fixture(scope="module")
+def registry():
+    return schema_registry()
 
 
 def validate(instance, schema_name, registry):
@@ -374,6 +381,58 @@ def test_kapranov_quadric_q8(capsys, tmp_path):
     ]
 
 
+# Kuznetsov's G2 Grassmannian G2/P1 (dim 5, index 3) and Samokhin's LG(3,6) = C3/P3
+# (dim 6, index 4): (O, U*)(t) over a full period of twists
+NON_SIMPLY_LACED = [("kuznetsov-g2", 5, 3, 6), ("samokhin-lg36", 6, 4, 8)]
+
+
+@pytest.mark.parametrize("name,dim_x,index,size", NON_SIMPLY_LACED, ids=[n for n, *_ in NON_SIMPLY_LACED])
+def test_non_simply_laced_corpus(capsys, name, dim_x, index, size):
+    code, report = run_json(capsys, "verify", str(CORPUS / f"{name}.json"))
+    assert code == 0
+    assert (report["verdict"], report["dim_x"], report["index"], report["size"]) == ("pass", dim_x, index, size)
+
+
+def transposed(name):
+    """A corpus collection with its Cartan matrix transposed."""
+    obj = json.loads((CORPUS / f"{name}.json").read_text(encoding="utf-8"))
+    obj["cartan"]["entries"] = [list(col) for col in zip(*obj["cartan"]["entries"])]
+    return obj
+
+
+def test_g2_transposed(capsys, tmp_path):
+    # the same Grassmannian with the Cartan matrix transposed: the crossed node
+    # is node 2, and U* = (1, 0)
+    obj = transposed("kuznetsov-g2")
+    obj["crossed"] = 2
+    obj["bundles"] = [{"weight": b["weight"][::-1]} for b in obj["bundles"]]
+    assert obj["bundles"][1] == {"weight": [1, 0]}
+    path = tmp_path / "g2-transposed.json"
+    path.write_text(json.dumps(obj))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 0
+    assert (report["verdict"], report["dim_x"], report["index"]) == ("pass", 5, 3)
+
+
+def test_lg36_weights_on_b3_fail(capsys, tmp_path):
+    # the negative control: the transposed matrix is B3, where the same weights
+    # give the spinor Grassmannian's bundles, and the collection is not exceptional
+    obj = transposed("samokhin-lg36")
+    assert obj["cartan"]["entries"] == [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+    path = tmp_path / "lg36-on-b3.json"
+    path.write_text(json.dumps(obj))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 1
+    got = [(*v["pair"], v["degree"], v["dim"], v["rule"]) for v in report["violations"]]
+    back, self_ext = "backward morphism", "higher self-extension"
+    assert got == [
+        (2, 1, 1, 1, back), (2, 2, 1, 7, self_ext),
+        (4, 3, 1, 1, back), (4, 4, 1, 7, self_ext),
+        (6, 2, 2, 1, back), (6, 5, 1, 1, back), (6, 6, 1, 7, self_ext),
+        (8, 4, 2, 1, back), (8, 7, 1, 1, back), (8, 8, 1, 7, self_ext),
+    ]
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 BUNDLE_ARGS = {
@@ -500,6 +559,7 @@ def assert_usage_error(code, out, err):
 
 
 B4_POINT = {"preset": "B4", "crossed": 1, "bundles": [{"weight": [0, 0, 0, 0]}]}
+A2_CARTAN = {"rank": 2, "entries": [[2, -1], [-1, 2]]}
 
 
 @pytest.mark.parametrize(
@@ -514,10 +574,12 @@ B4_POINT = {"preset": "B4", "crossed": 1, "bundles": [{"weight": [0, 0, 0, 0]}]}
         {**B4_POINT, "bundles": [{"weight": [0, 0, 0, 0], "twist": 3}]},
         # a preset and a Cartan matrix that disagree: neither may be dropped silently
         {**B4_POINT, "cartan": {"rank": 2, "entries": [[2, -1], [-1, 2]]}},
+        # the schema asks which keys are present, so a null preset is not an absent one
+        {"preset": None, "cartan": A2_CARTAN, "crossed": 1, "bundles": [{"weight": [0, 0]}]},
     ],
     ids=[
-        "null-weight", "scalar-entries", "no-bundles",
-        "integer-name", "false-blocks", "unknown-key", "bundle-twist", "preset-and-cartan",
+        "null-weight", "scalar-entries", "no-bundles", "integer-name", "false-blocks",
+        "unknown-key", "bundle-twist", "preset-and-cartan", "preset-null",
     ],
 )
 def test_malformed_collection_is_usage_error(capsys, tmp_path, registry, obj):
@@ -542,8 +604,9 @@ def test_empty_blocks_is_usage_error(capsys, tmp_path, registry):
         [5],
         [{"name": "x", "kind": "iso", "terms": [5, "O"]}],
         [{"name": "x", "kind": "iso", "terms": ["O", "O(1)"], "extra": 1}],
+        [{"name": "x", "kind": "ISO", "terms": ["O", "O"]}],
     ],
-    ids=["null-terms", "scalar-entry", "integer-term", "unknown-key"],
+    ids=["null-terms", "scalar-entry", "integer-term", "unknown-key", "uppercase-kind"],
 )
 def test_malformed_ledger_is_usage_error(capsys, tmp_path, registry, obj):
     with pytest.raises(jsonschema.ValidationError):
@@ -685,6 +748,99 @@ def test_cli_inputs_end_in_an_exit_code(argv):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# One valid input of each file schema, by name: the schema, the command that reads
+# the file (named by its last argument) and the object.
+P2_BUNDLES = [{"weight": [0, 0]}, {"weight": [1, 0]}, {"weight": [2, 0]}]
+SCHEMA_CASES = {
+    "preset": ("collection.json", ("verify",), {"name": "p2", "preset": "A2", "crossed": 1, "bundles": P2_BUNDLES}),
+    "cartan": (
+        "collection.json",
+        ("verify",),
+        {"name": "p2", "cartan": A2_CARTAN, "crossed": 1, "bundles": P2_BUNDLES, "blocks": [1, 1, 1]},
+    ),
+    "ledger": (
+        "ledger.json",
+        ("ledger", "--preset", "A2", "--ledger-file"),
+        [{"name": "twist", "kind": "iso", "terms": ["O(1)", "O(1)"]}],
+    ),
+}
+# what "other" adds to a collection of each form
+OTHER = {"preset": ("cartan", A2_CARTAN), "cartan": ("preset", "A2")}
+SET_VALUES = [None, True, 1.5, "x", [], {}]
+
+
+def _paths(obj, path=()):
+    """The path of obj and of every value inside it, as tuples of keys and indices."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def schema_mutations(draw):
+    """(form, path, op, value): one mutation of one of SCHEMA_CASES."""
+    form = draw(st.sampled_from(sorted(SCHEMA_CASES)))
+    obj = SCHEMA_CASES[form][2]
+    # a collection's root can take an unknown key or the other form; a ledger's
+    # root, a list, takes no mutation
+    path = draw(st.sampled_from([p for p in _paths(obj) if p or form in OTHER]))
+    target = _at(obj, path)
+    ops = [("set", v) for v in SET_VALUES] + [("delete", None)] if path else []
+    if isinstance(target, dict):
+        ops.append(("unknown", None))
+    if isinstance(target, str):
+        ops.append(("upper", None))
+    if not path and form in OTHER:
+        ops.append(("other", None))
+    return (form, path, *draw(st.sampled_from(ops)))
+
+
+def mutated(form, path, op, value):
+    obj = json.loads(json.dumps(SCHEMA_CASES[form][2]))  # a deep copy
+    if op == "unknown":
+        _at(obj, path)["unknown"] = 0
+    elif op == "other":
+        key, other = OTHER[form]
+        obj[key] = other
+    else:
+        parent, key = _at(obj, path[:-1]), path[-1]
+        if op == "set":
+            parent[key] = value  # a key absent from a dict is added
+        elif op == "delete":
+            del parent[key]
+        else:
+            parent[key] = parent[key].upper()
+    return obj
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(schema_mutations())
+@example(("cartan", ("preset",), "set", None))
+@example(("ledger", (0, "kind"), "upper", None))
+def test_what_the_schema_refuses_is_a_usage_error(mutation):
+    # hypothesis refuses function-scoped fixtures, so the registry and the file
+    # are made here
+    schema, argv, _ = SCHEMA_CASES[mutation[0]]
+    obj = mutated(*mutation)
+    validator = jsonschema.Draft202012Validator(_load_schema(schema), registry=schema_registry())
+    if validator.is_valid(obj):
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(obj))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+    assert_usage_error(code, out.getvalue(), err.getvalue())
 
 
 # -- the JSON writer ------------------------------------------------------------------

@@ -17,7 +17,6 @@ from weylbott.ledger import (
     check_identity,
     check_ledger,
     eval_expr,
-    identities_from_obj,
     identity_to_obj,
     ledger_report_obj,
     load_ledger,
@@ -251,13 +250,6 @@ def test_ledger_json_round_trip(tmp_path):
     loaded = load_ledger(str(path))
     assert list(map(identity_to_obj, loaded)) == list(map(identity_to_obj, builtin_ledger()))
     assert [identity_to_obj(i)["name"] for i in loaded] == [x["name"] for x in obj]
-
-
-def test_identities_from_obj_normalizes_kind():
-    idents = identities_from_obj(
-        [{"name": "n", "kind": "ISO", "terms": ["O", "O"]}]
-    )
-    assert idents[0].kind == "iso"
 
 
 def test_syntax_error_surfaces_before_evaluation(capsys, tmp_path, monkeypatch):

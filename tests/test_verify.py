@@ -252,7 +252,7 @@ def reversed_cayley27() -> Collection:
     return Collection("reversed", coll.setup, tuple(reversed(coll.bundles)))
 
 
-CORPUS = sorted((Path(__file__).parent / "collections").glob("kapranov-*.json"))
+CORPUS = sorted((Path(__file__).parent / "collections").glob("*.json"))
 CERTIFIED = {
     "cayley27": partial(builtin_collection, "cayley27"),
     "kapranovQ7": partial(builtin_collection, "kapranovQ7"),
