@@ -10,8 +10,8 @@ Weyl-invariant character and a tensor product with an irreducible.
 
 from __future__ import annotations
 
-from math import comb
-from operator import add, mul
+from math import comb, prod
+from operator import add, mul, sub as subtract
 from typing import Iterable, NoReturn
 
 from .errors import EngineError, GuardrailExceeded, NotDecomposable
@@ -37,38 +37,25 @@ def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
     lam = rs.require_dominant(sub, lam)
     q = rs.dim_memo.get((sub.nodes, lam))
     if q is None:
-        shifted = [x + 1 for x in lam]  # lam + rho
-        num = 1
-        den = 1
-        for r in rs.sub_positive_roots(sub):
-            num *= sum(map(mul, r.coroot, shifted))
-            den *= sum(r.coroot)
-        q, rem = divmod(num, den)
+        sr = rs.sub_roots(sub)
+        # <lam + rho, a^vee> = <lam, a^vee> + <rho, a^vee>
+        num = prod(map(add, rs.coroot_pairings(sub, lam), sr.coroot_heights))
+        q, rem = divmod(num, sr.rho_product)
         if rem:
-            raise EngineError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
+            raise EngineError(f"Weyl dimension of {lam} is not an integer: {num}/{sr.rho_product}")
         rs.dim_memo[(sub.nodes, lam)] = q
     return q
 
 
 def weyl_orbit(rs: RootSystem, sub: Subsystem, lam: Weight) -> list[Weight]:
-    """The sub-Weyl orbit of lam, deterministically ordered.
-
-    Walking down from the dominant conjugate, a reflection at a node where the
-    coordinate is positive reaches every element: each one walks back up to
-    the top by reflections at negative coordinates."""
+    """The sub-Weyl orbit of lam, sorted, built from its dominant conjugate by length."""
     _, top = rs.make_dominant(sub, rs.check_rank(lam))
-    seen = {top}
-    queue = [top]
-    while queue:
-        w = queue.pop()
-        for i in sub.nodes:
-            if w[i - 1] > 0:
-                nw = rs.reflect(i, w)
-                if nw not in seen:
-                    _guard(len(seen) + 1)
-                    seen.add(nw)
-                    queue.append(nw)
-    return sorted(seen)
+    orbit: list[Weight] = []
+    for layer in rs.orbit_layers(sub, top):
+        orbit += layer
+        _guard(min(len(orbit), MAX_SUPPORT + 1))  # counts up to the first weight past the bound
+    orbit.sort()
+    return orbit
 
 
 def orbit_size(rs: RootSystem, sub: Subsystem, nu: Weight) -> int:
@@ -76,17 +63,17 @@ def orbit_size(rs: RootSystem, sub: Subsystem, nu: Weight) -> int:
     over the positive roots a, and the stabilizer of nu is the Weyl group of the
     roots with <nu, a^vee> = 0, so the orbit is the same product over the others."""
     num = den = 1
-    for r in rs.sub_positive_roots(sub):
-        if sum(e * x for e, x in zip(r.coroot, nu)):
-            num *= r.height + 1
-            den *= r.height
+    for pairing, h in zip(rs.coroot_pairings(sub, nu), rs.sub_roots(sub).heights):
+        if pairing:
+            num *= h + 1
+            den *= h
     return num // den
 
 
 def _dominant_weights(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weight, Weight]:
     """Sub-dominant weights of the irrep, mapped to root coordinates of lam - mu;
     the support, the sum of their orbits, is bounded before any multiplicity."""
-    roots = rs.sub_positive_roots(sub)
+    roots = rs.sub_roots(sub).roots
     zero = (0,) * rs.rank
     found: dict[Weight, Weight] = {lam: zero}
     support = orbit_size(rs, sub, lam)
@@ -96,10 +83,10 @@ def _dominant_weights(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weigh
         mu = queue.pop()
         off = found[mu]
         for r in roots:
-            nu = tuple(x - y for x, y in zip(mu, r.weight))
+            nu = tuple(map(subtract, mu, r.weight))
             if nu in found or not rs.is_dominant(sub, nu):
                 continue
-            found[nu] = tuple(x + y for x, y in zip(off, r.simple_coords))
+            found[nu] = tuple(map(add, off, r.simple_coords))
             support += orbit_size(rs, sub, nu)
             queue.append(nu)
     return found
@@ -110,22 +97,23 @@ def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight, dom: dict) -> Char
 
     Taken by depth, each nu reads m(nu + k alpha) from the character itself: the
     dominant conjugate of nu + k alpha lies above nu, so its orbit is already filled."""
-    roots = rs.sub_positive_roots(sub)
     d = rs.symmetrizer_int
+    # per root: its weight, and the form <alpha, .> as (simple coordinates) x d
+    steps = [(r.weight, tuple(map(mul, r.simple_coords, d))) for r in rs.sub_roots(sub).roots]
     mults: Character = dict.fromkeys(weyl_orbit(rs, sub, lam), 1)
     for nu in sorted(dom, key=lambda w: (sum(dom[w]), w)):
         if nu == lam:
             continue
         off = dom[nu]  # root coordinates of lam - nu; positive total
         total = 0
-        for r in roots:
+        for step, form in steps:
             mu = nu
             while True:
-                mu = tuple(map(add, mu, r.weight))
+                mu = tuple(map(add, mu, step))
                 m = mults.get(mu, 0)
                 if m == 0:
                     break  # weight strings of an irrep have no internal gaps
-                total += m * sum(c * di * x for c, di, x in zip(r.simple_coords, d, mu))
+                total += m * sum(map(mul, form, mu))
         den = sum(c * di * (a + b + 2) for c, di, a, b in zip(off, d, lam, nu))
         q, rem = divmod(2 * total, den)
         if rem or q <= 0:
@@ -261,10 +249,8 @@ def brauer_klimyk(rs: RootSystem, sub: Subsystem, c: Character, top: Weight) -> 
     conjugate of top + mu, of length l, or nothing when top + mu + rho is
     singular.  The dimensions of the result must add up to dim c * dim V_top.
     """
-    dotted = rs.dotted_to_dominant
     acc: Character = {}
-    for mu, m in c.items():
-        hit = dotted(sub, tuple(map(add, top, mu)))
+    for m, hit in zip(c.values(), rs.dotted_walks(sub, top, c)):
         if hit is not None:
             count, w = hit
             n = acc.get(w, 0) + (-m if count & 1 else m)

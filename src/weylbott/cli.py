@@ -12,29 +12,12 @@ import os
 import sys
 from typing import Optional
 
-from .bbw import cohomology, ext_table
 from .characters import char_dim, irrep_character, weight_mults_obj, weyl_dim
 from .errors import EngineError
-from .ledger import (
-    builtin_ledger,
-    check_ledger,
-    ledger_report_obj,
-    load_ledger,
-    render_ledger_text,
-)
 from .lie_core import RootSystem, Subsystem, Weight
 from .parabolic import ParabolicSetup, branch, bundle_c1, levi_tensor, make_setup
 from .presets import PRESETS, get_preset, load_cartan, preset_names, to_json
-from .verify import (
-    BUILTIN_COLLECTIONS,
-    builtin_collection,
-    ext_table_to_obj,
-    g_module_obj,
-    load_collection,
-    render_report_text,
-    report_to_json,
-    verify_strong_exceptional,
-)
+# bbw, verify and ledger load inside the subcommands that use them, so start-up stays small
 
 USAGE_ERROR = 2
 ENGINE_ERROR = 3
@@ -126,46 +109,54 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
+    from . import bbw, verify
+
     setup = _setup(args)
-    res = cohomology(setup, _parse_weight(args.weight))
+    res = bbw.cohomology(setup, _parse_weight(args.weight))
     if res.is_zero:
         _emit(args, {"degree": None, "weight": None, "dual": None, "dim": 0}, "zero")
         return 0
-    g = g_module_obj(setup.rs, res.g_weight)
+    g = verify.g_module_obj(setup.rs, res.g_weight)
     text = f"degree {res.degree}: weight {g['weight']} (dual {g['dual']}), dim {res.dim}"
     _emit(args, {"degree": res.degree, "dim": res.dim, **g}, text)
     return 0
 
 
 def _cmd_ext(args) -> int:
+    from . import bbw, verify
+
     setup = _setup(args)
-    table = ext_table(setup, _parse_weight(args.weight), _parse_weight(args.weight2))
+    table = bbw.ext_table(setup, _parse_weight(args.weight), _parse_weight(args.weight2))
     lines = []
     for k, dim in enumerate(table.dims):
         if dim:
             ws = ", ".join(f"{list(w)} x {m}" for w, m in table.weights[k])
             lines.append(f"Ext^{k}: dim {dim}  [{ws}]")
-    _emit(args, ext_table_to_obj(setup, table), "\n".join(lines) or "all degrees vanish")
+    _emit(args, verify.ext_table_to_obj(setup, table), "\n".join(lines) or "all degrees vanish")
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     target = args.target
-    if _names_file(target, BUILTIN_COLLECTIONS):
-        coll = load_collection(target)
+    if _names_file(target, verify.BUILTIN_COLLECTIONS):
+        coll = verify.load_collection(target)
     else:
-        coll = builtin_collection(target)
-    report = verify_strong_exceptional(coll)
-    _write(report_to_json(report) if args.format == "json" else render_report_text(report))
+        coll = verify.builtin_collection(target)
+    report = verify.verify_strong_exceptional(coll)
+    _write(verify.report_to_json(report) if args.format == "json" else verify.render_report_text(report))
     return 0 if report.verdict == "pass" else 1
 
 
 def _cmd_ledger(args) -> int:
+    from . import ledger
+
     setup = _setup(args)
-    identities = load_ledger(args.ledger_file) if args.ledger_file else builtin_ledger()
-    results = check_ledger(setup, identities)
-    obj = ledger_report_obj(results)
-    _emit(args, obj, render_ledger_text(results))
+    identities = ledger.load_ledger(args.ledger_file) if args.ledger_file else ledger.builtin_ledger()
+    results = ledger.check_ledger(setup, identities)
+    obj = ledger.ledger_report_obj(results)
+    _emit(args, obj, ledger.render_ledger_text(results))
     return 0 if obj["verdict"] == "pass" else 1
 
 

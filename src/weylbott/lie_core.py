@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import NotDominant, NotFiniteType
 
@@ -100,6 +100,18 @@ class PositiveRoot(NamedTuple):
         return sum(self.simple_coords)
 
 
+class SubRoots(NamedTuple):
+    """The positive roots of a subsystem, and its coroot chain: the positive
+    coroots ordered by height, the k-th (from 1; 0 is the zero coroot) stored
+    as (p, i), the p-th plus the simple coroot of zero-based node i."""
+
+    roots: tuple[PositiveRoot, ...]
+    chain: tuple[tuple[int, int], ...]
+    coroot_heights: tuple[int, ...]  # <rho, a^vee>, in chain order
+    rho_product: int                 # their product, the Weyl denominator
+    heights: tuple[int, ...]         # ht a, in chain order
+
+
 class Subsystem:
     """Simple nodes (1-based) in increasing order, closed under nothing: just a label set."""
 
@@ -142,7 +154,7 @@ class RootSystem:
         self.two_rho_vee: Weight = tuple(
             sum(col) for col in zip(*(r.coroot for r in self.positive_roots))
         )
-        self._sub_roots: dict[tuple[int, ...], tuple[PositiveRoot, ...]] = {}
+        self._sub_roots: dict[tuple[int, ...], SubRoots] = {}
         # Irreducible characters by (sub.nodes, highest weight), filled by
         # characters.irrep_character; a fresh root system starts cold.
         self.char_memo: dict[tuple[tuple[int, ...], Weight], dict[Weight, int]] = {}
@@ -203,18 +215,32 @@ class RootSystem:
 
     # -- subsystem plumbing -------------------------------------------
 
-    def sub_positive_roots(self, sub: Subsystem) -> tuple[PositiveRoot, ...]:
-        """Positive roots supported on the given nodes."""
-        key = sub.nodes
-        cached = self._sub_roots.get(key)
-        if cached is None:
-            zero_based = {i - 1 for i in key}
-            cached = tuple(
-                r for r in self.positive_roots
-                if all(c == 0 or j in zero_based for j, c in enumerate(r.simple_coords))
-            )
-            self._sub_roots[key] = cached
-        return cached
+    def sub_roots(self, sub: Subsystem) -> SubRoots:
+        """Positive roots supported on the given nodes, with their coroot chain."""
+        found = self._sub_roots.get(sub.nodes)
+        if found is None:
+            off = [j for j in range(self.rank) if j not in sub.index]
+            roots = tuple(r for r in self.positive_roots if not any(r.simple_coords[j] for j in off))
+            order = sorted(roots, key=lambda r: sum(r.coroot))
+            at = {(0,) * self.rank: 0, **{r.coroot: k for k, r in enumerate(order, 1)}}
+            # The coroots form a root system, so each positive coroot above
+            # height 1 is a positive coroot plus a simple coroot.
+            chain = tuple(next(
+                (at[low], i) for i, c in enumerate(r.coroot)
+                if c and (low := r.coroot[:i] + (c - 1,) + r.coroot[i + 1:]) in at
+            ) for r in order)
+            heights = tuple(sum(r.coroot) for r in order)
+            found = SubRoots(roots, chain, heights, math.prod(heights), tuple(r.height for r in order))
+            self._sub_roots[sub.nodes] = found
+        return found
+
+    def coroot_pairings(self, sub: Subsystem, lam: Weight) -> list[int]:
+        """<lam, a^vee> for the positive coroots of sub in chain order, one addition each."""
+        out = [0]  # <lam, 0>
+        for p, i in self.sub_roots(sub).chain:
+            out.append(out[p] + lam[i])
+        del out[0]
+        return out
 
     def is_dominant(self, sub: Subsystem, lam: Weight) -> bool:
         for i in sub.index:
@@ -277,18 +303,52 @@ class RootSystem:
         count = self._walk(sub.index, cur)
         return count, tuple(cur)
 
+    def dotted_walks(self, sub: Subsystem, base: Weight, deltas: Iterable[Weight]) -> Iterator[Optional[tuple[int, Weight]]]:
+        """dotted_to_dominant(sub, base + d) for each d of deltas, in order.
+
+        base is shifted by rho once; each walk is one list, walked in place,
+        and only a regular result becomes a tuple."""
+        index = sub.index
+        walk = self._walk
+        shifted = [x + 1 for x in base]
+        for d in deltas:
+            cur = list(map(operator.add, shifted, d))
+            count = walk(index, cur)
+            for i in index:
+                if not cur[i]:
+                    yield None
+                    break
+            else:
+                yield count, tuple([x - 1 for x in cur])
+
     def dotted_to_dominant(self, sub: Subsystem, lam: Weight) -> Optional[tuple[int, Weight]]:
         """Dotted action w . lam = w(lam + rho) - rho driven to dominance.
 
         Returns None when lam + rho is singular for the subsystem (some
         coordinate at a sub node vanishes), else (length, dominant weight).
         """
-        cur = [x + 1 for x in lam]
-        count = self._walk(sub.index, cur)
-        for i in sub.index:
-            if cur[i] == 0:
-                return None
-        return count, tuple([x - 1 for x in cur])
+        return next(self.dotted_walks(sub, lam, ((0,) * self.rank,)))
+
+    def orbit_layers(self, sub: Subsystem, top: Weight) -> Iterator[set[Weight]]:
+        """The sub-Weyl orbit of a sub-dominant top, one length at a time.
+
+        The next layer is {s_i w : w in this one, w_i > 0}: s_i w is one step
+        longer than w, so an element can repeat only within its own layer."""
+        columns = self._columns
+        index = sub.index
+        layer = {top}
+        while layer:
+            yield layer
+            found = set()
+            for w in layer:
+                for i in index:
+                    c = w[i]
+                    if c > 0:
+                        out = list(w)
+                        for j0, a in columns[i]:
+                            out[j0] -= c * a
+                        found.add(tuple(out))
+            layer = found
 
     def dual_dominant(self, sub: Subsystem, lam: Weight) -> Weight:
         """Highest weight of the dual: dominant representative of -lam."""

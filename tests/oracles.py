@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths they check: the Euler
-characteristic comes from the Weyl product over positive roots (no
-reflections), characters from alternating orbit sums with exact
-polynomial division (no Freudenthal recursion), cohomology degrees
+characteristic and Weyl dimensions come from the Weyl product over positive
+roots, one coroot dot product each (no reflections, no coroot chain; the
+roots of a subsystem are read off their simple coordinates), characters
+from alternating orbit sums with exact polynomial division (no Freudenthal
+recursion), cohomology degrees
 from inversion counting (no iterative dominance walk), dominant
 representatives from reflections in arbitrary positive roots (no
 simple-reflection walk), wedge and symmetric powers from Newton's
@@ -41,11 +43,32 @@ def euler_characteristic(rs: RootSystem, lam: Weight) -> int:
     return int(num)
 
 
+def roots_on(rs: RootSystem, sub: Subsystem) -> list:
+    """The positive roots supported on the nodes of sub, read off their simple
+    coordinates (not through the engine's per-subsystem table)."""
+    return [
+        r for r in rs.positive_roots
+        if all(c == 0 or j + 1 in sub.nodes for j, c in enumerate(r.simple_coords))
+    ]
+
+
+def weyl_dim_product(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
+    """prod <lam + rho, a^v> / prod <rho, a^v> over the positive roots of sub,
+    each pairing a dot product with the coroot (no coroot chain, no memo)."""
+    num = den = 1
+    for r in roots_on(rs, sub):
+        num *= sum(e * (x + 1) for e, x in zip(r.coroot, lam))
+        den *= sum(r.coroot)
+    q, rem = divmod(num, den)
+    assert rem == 0, (lam, num, den)
+    return q
+
+
 def inversion_count(rs: RootSystem, sub: Subsystem, mu: Weight) -> int:
     """Number of sub-positive roots with negative pairing: the length of the
     shortest Weyl word carrying regular mu to the dominant chamber."""
     count = 0
-    for r in rs.sub_positive_roots(sub):
+    for r in roots_on(rs, sub):
         pairing = sum(e * x for e, x in zip(r.coroot, mu))
         if pairing < 0:
             count += 1
@@ -55,14 +78,14 @@ def inversion_count(rs: RootSystem, sub: Subsystem, mu: Weight) -> int:
 def is_regular(rs: RootSystem, sub: Subsystem, mu: Weight) -> bool:
     return all(
         sum(e * x for e, x in zip(r.coroot, mu)) != 0
-        for r in rs.sub_positive_roots(sub)
+        for r in roots_on(rs, sub)
     )
 
 
 def dominant_chamber(rs: RootSystem, sub: Subsystem, mu: Weight) -> Weight:
     """The sub-dominant weight in the Weyl orbit of mu, found by reflecting in
     any sub-positive root (simple or not) that pairs negatively with mu."""
-    roots = rs.sub_positive_roots(sub)
+    roots = roots_on(rs, sub)
     while True:
         for r in roots:
             pairing = sum(e * x for e, x in zip(r.coroot, mu))

@@ -187,6 +187,14 @@ def test_weyl_orbit_sizes(e6, e6_full, e6_levi):
     assert weyl_orbit(e6, e6_full, ZERO6) == [ZERO6]
 
 
+def test_orbit_guard_names_the_first_weight_past_the_bound(monkeypatch):
+    # the orbit grows a layer at a time, but the error still counts one weight past the bound
+    monkeypatch.setattr(characters, "MAX_SUPPORT", 27)
+    assert len(weyl_orbit(RootSystem(get_preset("E6-paper")), Subsystem.full(6), W[5])) == 27
+    with pytest.raises(GuardrailExceeded, match=r"^character support 28 exceeds bound 27$"):
+        weyl_orbit(RootSystem(get_preset("E6-paper")), Subsystem.full(6), (1,) * 6)
+
+
 def test_cache_toggle():
     """A cold and a warm per-root-system memo agree; results are private copies."""
     rs = RootSystem(get_preset("E6-paper"))
@@ -476,8 +484,9 @@ def test_decompose_expands_no_orbit(e6, e6_full, e6_levi, monkeypatch):
 
 def test_oracles_do_not_import_decompose():
     # neither decompose nor the Brauer-Klimyk sum it shares with levi_tensor,
-    # nor the in-place Weyl walk under both
-    engine = {"decompose", "brauer_klimyk", "_walk"}
+    # nor the Weyl-group kernels under them: the in-place walk, the batched
+    # dotted walk, the coroot chain and the layered orbit
+    engine = {"decompose", "brauer_klimyk", "_walk", "dotted_walks", "sub_roots", "coroot_pairings", "orbit_layers"}
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylbott"):

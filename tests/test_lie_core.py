@@ -17,7 +17,7 @@ from weylbott.characters import (
 from weylbott.errors import NotDominant, NotFiniteType
 from weylbott.presets import cartan_from_obj, cartan_to_obj
 
-from oracles import dominant_chamber, inversion_count, is_regular, strip_full_support
+from oracles import dominant_chamber, inversion_count, is_regular, strip_full_support, weyl_dim_product
 
 W1, W2, W3, W4, W5, W6 = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 ZERO6 = (0,) * 6
@@ -76,7 +76,7 @@ def test_coroots_integral_and_normalized(b4):
 
 
 def test_levi_root_count(e6, e6_levi):
-    assert len(e6.sub_positive_roots(e6_levi)) == 20
+    assert len(e6.sub_roots(e6_levi).roots) == 20
     crossed = [r for r in e6.positive_roots if r.simple_coords[0] > 0]
     assert len(crossed) == 16
     # the two sets partition all positive roots
@@ -358,6 +358,72 @@ def test_brauer_klimyk_matches_product_and_strip(preset):
             ca = irrep_character(rs, sub, a)
             expected = strip_full_support(rs, sub, char_mul(ca, irrep_character(rs, sub, b)))
             assert sorted(brauer_klimyk(rs, sub, ca, b).items()) == sorted(expected)
+
+
+# -- the Weyl-group kernels, against plain per-weight work ----------------------
+
+
+def _sub_weight(rng, rs, sub, low, high):
+    """Coordinates in low..high on the nodes of sub, anything in -high..high off them."""
+    return tuple(
+        rng.randint(low, high) if i in sub.nodes else rng.randint(-high, high)
+        for i in range(1, rs.rank + 1)
+    )
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_weyl_dim_matches_the_plain_product(preset):
+    # the coroot chain against one dot product per coroot, up to coordinates near 10^6
+    rs = RootSystem(get_preset(preset))
+    rng = random.Random(f"dim/{preset}")
+    for sub in _subsystems(rs):
+        for high in (3, 10 ** 6):
+            for _ in range(12):
+                lam = _sub_weight(rng, rs, sub, 0, high)
+                assert weyl_dim(rs, sub, lam) == weyl_dim_product(rs, sub, lam), (sub.nodes, lam)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_dotted_walks_match_per_weight_oracles(preset):
+    rs = RootSystem(get_preset(preset))
+    rng = random.Random(f"dotted/{preset}")
+    for sub in _subsystems(rs):
+        base = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
+        deltas = [tuple(rng.randint(-4, 2) for _ in range(rs.rank)) for _ in range(30)]
+        # base + d + rho = rho is regular, and = 0 is singular on every node
+        deltas += [tuple(-x for x in base), tuple(-1 - x for x in base)]
+        results = list(rs.dotted_walks(sub, base, deltas))
+        assert len(results) == len(deltas)
+        for d, res in zip(deltas, results):
+            lam = tuple(x + y for x, y in zip(base, d))
+            assert res == rs.dotted_to_dominant(sub, lam)
+            shifted = tuple(x + 1 for x in lam)
+            if is_regular(rs, sub, shifted):
+                top = tuple(x - 1 for x in dominant_chamber(rs, sub, shifted))
+                assert res == (inversion_count(rs, sub, shifted), top), (sub.nodes, lam)
+            else:
+                assert res is None, (sub.nodes, lam)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_layered_orbit_is_the_reflection_closure(preset):
+    rs = RootSystem(get_preset(preset))
+    rng = random.Random(f"layers/{preset}")
+    for sub in _subsystems(rs):
+        for _ in range(4):
+            lam = _sub_weight(rng, rs, sub, 0, 1)
+            if orbit_size(rs, sub, lam) > 3000:
+                continue
+            closure, queue = {lam}, [lam]
+            while queue:
+                w = queue.pop()
+                for i in sub.nodes:
+                    nw = rs.reflect(i, w)
+                    if nw not in closure:
+                        closure.add(nw)
+                        queue.append(nw)
+            assert weyl_orbit(rs, sub, lam) == sorted(closure), (sub.nodes, lam)
+            assert len(closure) == orbit_size(rs, sub, lam)
 
 
 # -- duality -----------------------------------------------------------------

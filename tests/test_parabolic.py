@@ -344,6 +344,23 @@ def test_root_system_privates_stay_in_lie_core():
     assert found == []
 
 
+def test_cli_loads_verify_ledger_and_bbw_lazily():
+    # each CLI process compiles what it imports when no bytecode is cached, so
+    # these modules load inside the subcommands that use them
+    tree = ast.parse((Path(weylbott.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    lazy = {"verify", "ledger", "bbw"}
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names = {(node.module or "").split(".")[-1]} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names = {a.name.split(".")[-1] for a in node.names}
+        else:
+            continue
+        found += [f"cli.py:{node.lineno} imports {name}" for name in sorted(names & lazy)]
+    assert found == []
+
+
 def test_no_unused_import_in_src():
     # a deletion that leaves its import behind; __init__ re-exports on purpose
     unused = []

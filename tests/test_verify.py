@@ -133,6 +133,40 @@ def test_reversed_cayley27_fails():
     assert any(v.rule == "backward morphism" for v in report.violations)
 
 
+# Two metamorphic relations, each a transformation of cayley27 that must keep
+# it strongly exceptional and move its Ext tables in a known way.
+
+
+def test_dual_reversed_cayley27_passes_with_transposed_tables(cayley27_report):
+    # Ext(E_a^vee, E_b^vee) = Ext(E_b, E_a), so (E_27^vee, ..., E_1^vee) has at
+    # (i, j) the table of the original at (28 - j, 28 - i)
+    coll = builtin_collection("cayley27")
+    duals = tuple(parabolic.bundle_dual(coll.setup, w) for w in reversed(coll.bundles))
+    report = verify_strong_exceptional(Collection("dual reversed", coll.setup, duals))
+    assert report.verdict == "pass"
+    for i in range(1, 28):
+        for j in range(1, 28):
+            assert report.table_for(i, j) == cayley27_report.table_for(28 - j, 28 - i), (i, j)
+
+
+def test_diagram_automorphism_carries_cayley27_to_e6_p6(cayley27_report):
+    # 1 <-> 6 and 2 <-> 5 fix the Cartan matrix of E6-paper and carry P1 to P6
+    perm = (6, 5, 3, 4, 2, 1)
+
+    def image(w):
+        return tuple(w[k - 1] for k in perm)
+
+    entries = get_preset("E6-paper").entries
+    assert [[entries[a - 1][b - 1] for b in perm] for a in perm] == [list(row) for row in entries]
+    coll = builtin_collection("cayley27")
+    setup = make_setup(RootSystem(get_preset("E6-paper")), 6)
+    report = verify_strong_exceptional(Collection("E6/P6", setup, tuple(map(image, coll.bundles))))
+    assert report.verdict == "pass"
+    for got, want in zip(report.tables, cayley27_report.tables):
+        assert got.dims == want.dims
+        assert got.weights == [sorted((image(g), m) for g, m in ws) for ws in want.weights]
+
+
 def test_kapranov_q7_passes():
     report = verify_strong_exceptional(builtin_collection("kapranovQ7"))
     assert report.verdict == "pass"
