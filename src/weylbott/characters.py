@@ -59,11 +59,11 @@ def weyl_orbit(rs: RootSystem, sub: Subsystem, lam: Weight) -> list[Weight]:
 
 
 def orbit_size(rs: RootSystem, sub: Subsystem, nu: Weight) -> int:
-    """|W_sub . nu| for a sub-dominant nu. |W| is the product of (ht a + 1) / ht a
-    over the positive roots a, and the stabilizer of nu is the Weyl group of the
-    roots with <nu, a^vee> = 0, so the orbit is the same product over the others."""
+    """|W_sub . nu| for a sub-dominant nu. |W| is the product of (h + 1) / h over the
+    positive coroots a^vee of height h = <rho, a^vee>, and the stabilizer of nu is the
+    Weyl group of those with <nu, a^vee> = 0, so the orbit is the product over the others."""
     num = den = 1
-    for pairing, h in zip(rs.coroot_pairings(sub, nu), rs.sub_roots(sub).heights):
+    for pairing, h in zip(rs.coroot_pairings(sub, nu), rs.sub_roots(sub).coroot_heights):
         if pairing:
             num *= h + 1
             den *= h
@@ -97,9 +97,10 @@ def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight, dom: dict) -> Char
 
     Taken by depth, each nu reads m(nu + k alpha) from the character itself: the
     dominant conjugate of nu + k alpha lies above nu, so its orbit is already filled."""
-    d = rs.symmetrizer_int
+    sr = rs.sub_roots(sub)
+    d = sr.symmetrizer
     # per root: its weight, and the form <alpha, .> as (simple coordinates) x d
-    steps = [(r.weight, tuple(map(mul, r.simple_coords, d))) for r in rs.sub_roots(sub).roots]
+    steps = [(r.weight, tuple(map(mul, r.simple_coords, d))) for r in sr.roots]
     mults: Character = dict.fromkeys(weyl_orbit(rs, sub, lam), 1)
     for nu in sorted(dom, key=lambda w: (sum(dom[w]), w)):
         if nu == lam:

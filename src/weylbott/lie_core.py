@@ -63,29 +63,13 @@ class CartanMatrix:
         return tuple(self.entries[i][j - 1] for i in range(self.rank))
 
 
-def _symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
-    """Coprime positive integers d with d_i * a_ij symmetric, by graph propagation.
-
-    Called only once the root closure has shown finite type: each component is
-    then a tree with at most one multiple edge, of weight 2 or 3, so starting
-    it at 6 makes every step d_j = d_i a_ij / a_ji an exact integer division.
-    """
-    n = cartan.rank
-    a = cartan.entries
-    d: list[Optional[int]] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = 6
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in range(n):
-                if a[i][j] and d[j] is None:
-                    d[j] = d[i] * a[i][j] // a[j][i]
-                    queue.append(j)
-    g = math.gcd(*d)
-    return tuple(x // g for x in d)
+def _chain_pairings(chain: tuple[tuple[int, int], ...], lam: Weight) -> list[int]:
+    """<lam, a^vee> for the coroots of a chain in its order, one addition each."""
+    out = [0]  # <lam, 0>
+    for p, i in chain:
+        out.append(out[p] + lam[i])
+    del out[0]
+    return out
 
 
 class PositiveRoot(NamedTuple):
@@ -103,13 +87,15 @@ class PositiveRoot(NamedTuple):
 class SubRoots(NamedTuple):
     """The positive roots of a subsystem, and its coroot chain: the positive
     coroots ordered by height, the k-th (from 1; 0 is the zero coroot) stored
-    as (p, i), the p-th plus the simple coroot of zero-based node i."""
+    as (p, i), the p-th plus the simple coroot of zero-based node i.  Its symmetrizer is
+    d_j = sum_b <alpha_j, b^vee>^2 over the gcd, 0 off its nodes: sum_b <x, b^vee><y, b^vee>
+    is W-invariant (Bourbaki VI.1.12), so d_j is (alpha_j, alpha_j) up to a scale per factor."""
 
     roots: tuple[PositiveRoot, ...]
     chain: tuple[tuple[int, int], ...]
     coroot_heights: tuple[int, ...]  # <rho, a^vee>, in chain order
     rho_product: int                 # their product, the Weyl denominator
-    heights: tuple[int, ...]         # ht a, in chain order
+    symmetrizer: tuple[int, ...]     # d, one entry per node of the whole system
 
 
 class Subsystem:
@@ -148,7 +134,6 @@ class RootSystem:
             for i in range(self.rank)
         )
         self.positive_roots: tuple[PositiveRoot, ...] = self._generate()
-        self.symmetrizer_int: tuple[int, ...] = _symmetrizer(cartan)
         # 2 rho^vee, the sum of the positive coroots: <alpha_i, 2 rho^vee> = 2
         # for every simple root, so <lam, 2 rho^vee> is twice the height of lam.
         self.two_rho_vee: Weight = tuple(
@@ -230,17 +215,16 @@ class RootSystem:
                 if c and (low := r.coroot[:i] + (c - 1,) + r.coroot[i + 1:]) in at
             ) for r in order)
             heights = tuple(sum(r.coroot) for r in order)
-            found = SubRoots(roots, chain, heights, math.prod(heights), tuple(r.height for r in order))
+            d = [sum(x * x for x in _chain_pairings(chain, self.cartan.column(j + 1))) if j in sub.index else 0
+                 for j in range(self.rank)]
+            g = math.gcd(*d) or 1  # a subsystem with no roots has d = 0
+            found = SubRoots(roots, chain, heights, math.prod(heights), tuple(x // g for x in d))
             self._sub_roots[sub.nodes] = found
         return found
 
     def coroot_pairings(self, sub: Subsystem, lam: Weight) -> list[int]:
         """<lam, a^vee> for the positive coroots of sub in chain order, one addition each."""
-        out = [0]  # <lam, 0>
-        for p, i in self.sub_roots(sub).chain:
-            out.append(out[p] + lam[i])
-        del out[0]
-        return out
+        return _chain_pairings(self.sub_roots(sub).chain, lam)
 
     def is_dominant(self, sub: Subsystem, lam: Weight) -> bool:
         for i in sub.index:

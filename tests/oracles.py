@@ -11,9 +11,11 @@ representatives from reflections in arbitrary positive roots (no
 simple-reflection walk), wedge and symmetric powers from Newton's
 identities on stretched characters (no layer-by-layer product), the
 Ext tables of a collection one ordered pair at a time (no twist-class
-sharing), and decompositions into irreducibles by stripping the maximal
-weight of the whole support with orbit-expanded characters (no
-invariance check, no dominant-part-only stripping).
+sharing), every Ext dimension row a second time by Bott's sign count (no
+Weyl walk, no weyl_dim, no coroot chain), and decompositions into
+irreducibles by stripping the maximal weight of the whole support with
+orbit-expanded characters (no invariance check, no dominant-part-only
+stripping).
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import random
 from collections.abc import Iterable
 from fractions import Fraction as Q
 from heapq import heapify, heappop, heappush
+from math import prod
 
 from weylbott.bbw import ExtTable, ext_table
 from weylbott.characters import char_add, char_dual, char_mul, char_scale, irrep_character
 from weylbott.errors import NotDecomposable
 from weylbott.lie_core import RootSystem, Subsystem, Weight
-from weylbott.parabolic import ParabolicSetup, bundle_rank
+from weylbott.parabolic import ParabolicSetup, bundle_rank, levi_tensor
 
 
 def euler_characteristic(rs: RootSystem, lam: Weight) -> int:
@@ -185,6 +188,46 @@ def per_pair_tables(coll) -> list[ExtTable]:
     """The naive verifier path: one ext_table call per ordered pair, row-major,
     with every pair taken at its own twist."""
     return [ext_table(coll.setup, a, b) for a in coll.bundles for b in coll.bundles]
+
+
+def sign_count_dims(coll) -> list[list[int]]:
+    """The dims row of every ordered pair, row-major, by Bott's sign count.
+
+    E_a^dual (x) E_b is the Levi product of the two factors untwisted at the
+    crossed node c, shifted by d, the sum of their crossed coordinates.  A
+    summand nu pairs with each positive coroot as <nu + rho + d omega_c, a^v> =
+    <nu + rho, a^v> + d a^v_c; it adds nothing if a pairing vanishes, else its
+    multiplicity times |prod| / prod <rho, a^v> in the degree that counts the
+    negative pairings (Bott 1957).  The duals come from dominant_chamber."""
+    setup = coll.setup
+    rs, c = setup.rs, setup.crossed - 1
+    roots = rs.positive_roots
+    rho_product = prod(sum(r.coroot) for r in roots)
+
+    def untwist(w: Weight) -> tuple[Weight, int]:
+        return w[:c] + (0,) + w[c + 1:], w[c]
+
+    left = [untwist(dominant_chamber(rs, setup.levi, tuple(-x for x in a))) for a in coll.bundles]
+    right = [untwist(b) for b in coll.bundles]
+    products: dict = {}  # (p, q) -> [(multiplicity, <nu + rho, a^v> per root)]
+    rows = []
+    for p, s in left:
+        for q, t in right:
+            if (p, q) not in products:
+                products[p, q] = [
+                    (m, [sum(e * (x + 1) for e, x in zip(r.coroot, nu)) for r in roots])
+                    for nu, m in levi_tensor(setup, p, q)
+                ]
+            dims = [0] * (setup.dim_x + 1)
+            for m, base in products[p, q]:
+                pairings = [x + (s + t) * r.coroot[c] for x, r in zip(base, roots)]
+                if 0 in pairings:
+                    continue
+                dim, rem = divmod(abs(prod(pairings)), rho_product)
+                assert rem == 0, (p, q, s + t)
+                dims[sum(x < 0 for x in pairings)] += m * dim
+            rows.append(dims)
+    return rows
 
 
 def orbit_sum_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Weight, int]:

@@ -433,6 +433,19 @@ def test_lg36_weights_on_b3_fail(capsys, tmp_path):
     ]
 
 
+def test_beilinson_p1(capsys, tmp_path):
+    # P^1 = A1/P1, whose Levi has no roots: (O, O(1)), with Hom(O, O(1)) of dim 2
+    path = CORPUS / "beilinson-p1.json"
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 0
+    assert (report["verdict"], report["dim_x"], report["index"]) == ("pass", 1, 2)
+    dims = [t["table"][0]["dim"] for t in report["tables"]]
+    assert [dims[:2], dims[2:]] == [[1, 2], [0, 1]]
+    cartan = tmp_path / "a1.json"
+    cartan.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8"))["cartan"]))
+    assert run(capsys, "tensor", "--preset", str(cartan), "--weight=1", "--weight2=2") == (0, "[3] x 1\n", "")
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 BUNDLE_ARGS = {
@@ -489,6 +502,21 @@ def test_verify_size_guardrail_exit(capsys, tmp_path, monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "1003833 degree entries" in err
+
+
+def test_verify_size_guardrail_names_the_rank_of_k0(capsys, tmp_path, monkeypatch):
+    # 354 line bundles on B4/P1 need 354^2 * 8 > 10^6 degree entries; K_0 has rank 8
+    def no_pair(*args):
+        raise AssertionError("an Ext table was computed")
+
+    monkeypatch.setattr(weylbott.verify, "levi_tensor", no_pair)
+    monkeypatch.setattr(weylbott.verify, "cohomology_table", no_pair)
+    bundles = [{"weight": [t, 0, 0, 0]} for t in range(354)]
+    obj = {"name": "O(0..353)", "preset": "B4", "crossed": 1, "bundles": bundles}
+    code, out, err = run_on_file(capsys, tmp_path, obj, "verify")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith("no exceptional collection here has more than 8 objects, the rank of K_0")
 
 
 def _quick_start():

@@ -17,7 +17,14 @@ from weylbott.characters import (
 from weylbott.errors import NotDominant, NotFiniteType
 from weylbott.presets import cartan_from_obj, cartan_to_obj
 
-from oracles import dominant_chamber, inversion_count, is_regular, strip_full_support, weyl_dim_product
+from oracles import (
+    dominant_chamber,
+    inversion_count,
+    is_regular,
+    orbit_sum_character,
+    strip_full_support,
+    weyl_dim_product,
+)
 
 W1, W2, W3, W4, W5, W6 = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 ZERO6 = (0,) * 6
@@ -167,11 +174,63 @@ def test_finite_type_table(rows, count, order):
     n = rs.rank
     assert len(rs.positive_roots) == count
     assert orbit_size(rs, Subsystem.full(n), rs.rho) == order
-    d = rs.symmetrizer_int
+    d = rs.sub_roots(rs.full).symmetrizer
     assert math.gcd(*d) == 1 and min(d) > 0
     assert all(d[i] * rows[i][j] == d[j] * rows[j][i] for i in range(n) for j in range(n))
     for r in rs.positive_roots:
         assert r.coroot == _oracle_coroot(r.simple_coords, r.weight, d)
+    # each Levi's symmetrizer: symmetrizing, positive and coprime on its nodes, 0 off them
+    for c in range(1, n + 1):
+        nodes = [i for i in range(n) if i != c - 1]
+        d = rs.sub_roots(Subsystem.levi(n, c)).symmetrizer
+        assert d[c - 1] == 0
+        if nodes:
+            assert math.gcd(*(d[i] for i in nodes)) == 1 and min(d[i] for i in nodes) > 0
+            assert all(d[i] * rows[i][j] == d[j] * rows[j][i] for i in nodes for j in nodes)
+        else:  # the Levi of A1/P1 has no roots
+            assert d == (0,)
+
+
+# (label, rows, crossed node, |W/W_P| = rank K_0(G/P))
+K0_RANKS = [
+    ("G2/P1", G2_ROWS, 1, 6),
+    ("G2/P2", G2_ROWS, 2, 6),
+    ("B4/P1", _chain(4, "B"), 1, 8),
+    ("C3/P3", _chain(3, "C"), 3, 8),
+    ("F4/P4", F4_ROWS, 4, 24),
+]
+
+
+@pytest.mark.parametrize("rows,crossed,rank", [t[1:] for t in K0_RANKS], ids=[t[0] for t in K0_RANKS])
+def test_orbit_of_the_crossed_weight_is_the_rank_of_k0(rows, crossed, rank):
+    rs = RootSystem(CartanMatrix(rows))
+    omega = tuple(int(i == crossed - 1) for i in range(rs.rank))
+    assert orbit_size(rs, rs.full, omega) == rank
+
+
+# Subsystems whose simple factors have different root lengths, so that each
+# factor's symmetrizer is scaled on its own: B3 x G2, and the F4 Levi at node 2,
+# an A1 beside an A2 of the other root length.  The weights have multiplicities
+# up to 3, and (1, 0, 0, 1, 0) mixes the factors.
+MIXED = [
+    (
+        "B3xG2", _direct_sum(_chain(3, "B"), G2_ROWS), None, (2, 2, 1, 3, 1),
+        [(0, 1, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 2), (1, 0, 0, 1, 0)],
+    ),
+    (
+        "F4-levi-2", F4_ROWS, 2, (2, 0, 3, 3),
+        [(1, 2, 0, 1), (1, 0, 1, 1), (2, -3, 0, 1), (1, 1, 2, 0), (1, 0, 1, 2), (2, -1, 2, 2)],
+    ),
+]
+
+
+@pytest.mark.parametrize("rows,crossed,d,weights", [t[1:] for t in MIXED], ids=[t[0] for t in MIXED])
+def test_freudenthal_on_factors_of_mixed_length(rows, crossed, d, weights):
+    rs = RootSystem(CartanMatrix(rows))
+    sub = rs.full if crossed is None else Subsystem.levi(rs.rank, crossed)
+    assert rs.sub_roots(sub).symmetrizer == d
+    for lam in weights:
+        assert irrep_character(rs, sub, lam) == orbit_sum_character(rs, sub, lam), lam
 
 
 NOT_FINITE = {
@@ -467,4 +526,4 @@ def test_b4_short_root_convention(b4):
     cartan = get_preset("B4")
     assert cartan.entries[2][3] == -1
     assert cartan.entries[3][2] == -2
-    assert b4.symmetrizer_int == (2, 2, 2, 1)
+    assert b4.sub_roots(b4.full).symmetrizer == (2, 2, 2, 1)

@@ -12,7 +12,7 @@ import weylbott.parabolic as parabolic
 import weylbott.presets as presets
 import weylbott.verify as verify
 from weylbott import RootSystem, get_preset
-from weylbott.bbw import ext_table
+from weylbott.bbw import ExtTable, ext_table
 from weylbott.errors import GuardrailExceeded
 from weylbott.ledger import builtin_ledger, check_ledger
 from weylbott.parabolic import bundle_rank, levi_tensor, line_bundle, make_setup, twist
@@ -32,7 +32,7 @@ from weylbott.verify import (
     verify_strong_exceptional,
 )
 
-from oracles import per_pair_tables, random_l_dominant
+from oracles import per_pair_tables, random_l_dominant, sign_count_dims
 
 ZERO6 = (0,) * 6
 S_DUAL = (-1, 0, 0, 0, 0, 1)
@@ -286,7 +286,8 @@ def reversed_cayley27() -> Collection:
     return Collection("reversed", coll.setup, tuple(reversed(coll.bundles)))
 
 
-CORPUS = sorted((Path(__file__).parent / "collections").glob("*.json"))
+COLLECTIONS = Path(__file__).parent / "collections"
+CORPUS = sorted(COLLECTIONS.glob("*.json"))
 CERTIFIED = {
     "cayley27": partial(builtin_collection, "cayley27"),
     "kapranovQ7": partial(builtin_collection, "kapranovQ7"),
@@ -321,6 +322,26 @@ def test_memoized_report_matches_per_pair_path(make):
     assert [e["table"] for e in json.loads(text)["tables"]] == own
 
 
+@pytest.mark.parametrize("make", list(CERTIFIED.values()), ids=list(CERTIFIED))
+def test_sign_count_gives_every_dims_row(make):
+    coll = make()
+    assert sign_count_dims(coll) == [t.dims for t in verify_strong_exceptional(coll).tables]
+
+
+def test_sign_count_on_the_lg36_weights_on_b3():
+    # the negative control of the corpus: LG(3,6)'s weights on the transposed
+    # matrix, B3; its 10 violations follow from the sign-count rows alone
+    obj = json.loads((COLLECTIONS / "samokhin-lg36.json").read_text(encoding="utf-8"))
+    obj["cartan"]["entries"] = [list(col) for col in zip(*obj["cartan"]["entries"])]
+    coll = collection_from_obj(obj)
+    report = verify_strong_exceptional(coll)
+    rows = sign_count_dims(coll)
+    assert rows == [t.dims for t in report.tables]
+    n = len(coll.bundles)
+    violations = [v for k, dims in enumerate(rows) for v in _check_pair(k // n + 1, k % n + 1, ExtTable(dims, []))]
+    assert violations == report.violations and len(violations) == 10
+
+
 # Names that hold JSON syntax, quotes, escapes and non-ASCII text.
 ADVERSARIAL_NAMES = [
     '"table": null',
@@ -334,7 +355,7 @@ ADVERSARIAL_NAMES = [
 
 @pytest.mark.parametrize("name", ADVERSARIAL_NAMES, ids=range(len(ADVERSARIAL_NAMES)))
 def test_certificate_survives_any_name(cayley, name):
-    gr24 = json.loads(CORPUS[0].read_text(encoding="utf-8"))
+    gr24 = json.loads((COLLECTIONS / "kapranov-gr2-4.json").read_text(encoding="utf-8"))
     collections = [
         Collection(name, cayley, (S_DUAL, ZERO6)),  # pass
         Collection(name, cayley, (ZERO6, S_DUAL)),  # fail, with violations
