@@ -15,7 +15,7 @@ from operator import add, mul, sub as subtract
 from typing import Iterable, NoReturn
 
 from .errors import EngineError, GuardrailExceeded, NotDecomposable
-from .lie_core import RootSystem, Subsystem, Weight
+from .lie_core import RootSystem, Subsystem, Weight, chain_pairings
 
 Character = dict[Weight, int]
 
@@ -35,15 +35,15 @@ def _guard(size: int) -> None:
 def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam, by the Weyl product."""
     lam = rs.require_dominant(sub, lam)
-    q = rs.dim_memo.get((sub.nodes, lam))
+    sr = rs.sub_roots(sub)
+    q = sr.dims.get(lam)
     if q is None:
-        sr = rs.sub_roots(sub)
         # <lam + rho, a^vee> = <lam, a^vee> + <rho, a^vee>
-        num = prod(map(add, rs.coroot_pairings(sub, lam), sr.coroot_heights))
+        num = prod(map(add, chain_pairings(sr.chain, lam), sr.coroot_heights))
         q, rem = divmod(num, sr.rho_product)
         if rem:
             raise EngineError(f"Weyl dimension of {lam} is not an integer: {num}/{sr.rho_product}")
-        rs.dim_memo[(sub.nodes, lam)] = q
+        sr.dims[lam] = q
     return q
 
 
@@ -62,8 +62,9 @@ def orbit_size(rs: RootSystem, sub: Subsystem, nu: Weight) -> int:
     """|W_sub . nu| for a sub-dominant nu. |W| is the product of (h + 1) / h over the
     positive coroots a^vee of height h = <rho, a^vee>, and the stabilizer of nu is the
     Weyl group of those with <nu, a^vee> = 0, so the orbit is the product over the others."""
+    sr = rs.sub_roots(sub)
     num = den = 1
-    for pairing, h in zip(rs.coroot_pairings(sub, nu), rs.sub_roots(sub).coroot_heights):
+    for pairing, h in zip(chain_pairings(sr.chain, nu), sr.coroot_heights):
         if pairing:
             num *= h + 1
             den *= h
@@ -127,10 +128,10 @@ def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight, dom: dict) -> Char
 def irrep_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> Character:
     """Full character of the irreducible with highest weight lam; a private copy."""
     lam = rs.require_dominant(sub, lam)
-    key = (sub.nodes, lam)
-    out = rs.char_memo.get(key)
+    chars = rs.sub_roots(sub).chars
+    out = chars.get(lam)
     if out is None:
-        out = rs.char_memo[key] = _freudenthal(rs, sub, lam, _dominant_weights(rs, sub, lam))
+        out = chars[lam] = _freudenthal(rs, sub, lam, _dominant_weights(rs, sub, lam))
     return dict(out)
 
 

@@ -63,7 +63,7 @@ class CartanMatrix:
         return tuple(self.entries[i][j - 1] for i in range(self.rank))
 
 
-def _chain_pairings(chain: tuple[tuple[int, int], ...], lam: Weight) -> list[int]:
+def chain_pairings(chain: tuple[tuple[int, int], ...], lam: Weight) -> list[int]:
     """<lam, a^vee> for the coroots of a chain in its order, one addition each."""
     out = [0]  # <lam, 0>
     for p, i in chain:
@@ -89,13 +89,16 @@ class SubRoots(NamedTuple):
     coroots ordered by height, the k-th (from 1; 0 is the zero coroot) stored
     as (p, i), the p-th plus the simple coroot of zero-based node i.  Its symmetrizer is
     d_j = sum_b <alpha_j, b^vee>^2 over the gcd, 0 off its nodes: sum_b <x, b^vee><y, b^vee>
-    is W-invariant (Bourbaki VI.1.12), so d_j is (alpha_j, alpha_j) up to a scale per factor."""
+    is W-invariant (Bourbaki VI.1.12), so d_j is (alpha_j, alpha_j) up to a scale per factor.
+    Its memos by highest weight, filled by weyl_dim and irrep_character, live as long as it."""
 
     roots: tuple[PositiveRoot, ...]
     chain: tuple[tuple[int, int], ...]
     coroot_heights: tuple[int, ...]  # <rho, a^vee>, in chain order
     rho_product: int                 # their product, the Weyl denominator
     symmetrizer: tuple[int, ...]     # d, one entry per node of the whole system
+    dims: dict[Weight, int]          # Weyl dimensions, by highest weight
+    chars: dict[Weight, dict[Weight, int]]  # irreducible characters, by highest weight
 
 
 class Subsystem:
@@ -139,12 +142,9 @@ class RootSystem:
         self.two_rho_vee: Weight = tuple(
             sum(col) for col in zip(*(r.coroot for r in self.positive_roots))
         )
-        self._sub_roots: dict[tuple[int, ...], SubRoots] = {}
-        # Irreducible characters by (sub.nodes, highest weight), filled by
-        # characters.irrep_character; a fresh root system starts cold.
-        self.char_memo: dict[tuple[tuple[int, ...], Weight], dict[Weight, int]] = {}
-        # Weyl dimensions by the same key, filled by characters.weyl_dim.
-        self.dim_memo: dict[tuple[tuple[int, ...], Weight], int] = {}
+        # Each subsystem's record by its nodes, with its memos; a fresh root
+        # system starts cold, and clearing this forgets every record and memo.
+        self.memo: dict[tuple[int, ...], SubRoots] = {}
 
     # -- construction -------------------------------------------------
 
@@ -201,8 +201,8 @@ class RootSystem:
     # -- subsystem plumbing -------------------------------------------
 
     def sub_roots(self, sub: Subsystem) -> SubRoots:
-        """Positive roots supported on the given nodes, with their coroot chain."""
-        found = self._sub_roots.get(sub.nodes)
+        """Positive roots supported on the given nodes, with their coroot chain and memos."""
+        found = self.memo.get(sub.nodes)
         if found is None:
             off = [j for j in range(self.rank) if j not in sub.index]
             roots = tuple(r for r in self.positive_roots if not any(r.simple_coords[j] for j in off))
@@ -215,16 +215,12 @@ class RootSystem:
                 if c and (low := r.coroot[:i] + (c - 1,) + r.coroot[i + 1:]) in at
             ) for r in order)
             heights = tuple(sum(r.coroot) for r in order)
-            d = [sum(x * x for x in _chain_pairings(chain, self.cartan.column(j + 1))) if j in sub.index else 0
+            d = [sum(x * x for x in chain_pairings(chain, self.cartan.column(j + 1))) if j in sub.index else 0
                  for j in range(self.rank)]
             g = math.gcd(*d) or 1  # a subsystem with no roots has d = 0
-            found = SubRoots(roots, chain, heights, math.prod(heights), tuple(x // g for x in d))
-            self._sub_roots[sub.nodes] = found
+            found = SubRoots(roots, chain, heights, math.prod(heights), tuple(x // g for x in d), {}, {})
+            self.memo[sub.nodes] = found
         return found
-
-    def coroot_pairings(self, sub: Subsystem, lam: Weight) -> list[int]:
-        """<lam, a^vee> for the positive coroots of sub in chain order, one addition each."""
-        return _chain_pairings(self.sub_roots(sub).chain, lam)
 
     def is_dominant(self, sub: Subsystem, lam: Weight) -> bool:
         for i in sub.index:

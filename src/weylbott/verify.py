@@ -97,9 +97,9 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
     pair of untwisted factors and that sum; levi_tensor runs once per
     unordered pair, cohomology_table once per key on the product so
     shifted, and every pair of a key shares one (frozen) table.  The report
-    keeps the collection and so its root system; the character and
-    dimension memos filled by the run are emptied on return, so that a kept
-    report does not also keep them.
+    keeps the collection and so its root system; its memo, which holds the
+    characters and dimensions the run computed, is emptied on return, so that
+    a kept report does not also keep them.
 
     A collection whose certificate would pass MAX_DEGREE_ENTRIES is refused
     before any pair is computed.
@@ -134,8 +134,7 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
                 setup, [(w[:c] + (w[c] + shift,) + w[c + 1:], m) for w, m in products[p, q]]
             )
     finally:
-        rs.char_memo.clear()
-        rs.dim_memo.clear()
+        rs.memo.clear()
     tables = [classes[k] for k in keys]
     violations = [v for k, t in enumerate(tables) for v in _check_pair(k // n + 1, k % n + 1, t)]
     return VerificationReport(coll, tables, violations, time.monotonic() - start)

@@ -253,27 +253,35 @@ def orbit_sum_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> dict[Wei
         return out
 
     numerator = signed_orbit(tuple(x + y for x, y in zip(lam, rho)))
-    denominator = signed_orbit(rho)
-
-    def max_key(c: dict[Weight, int]) -> Weight:
-        return max(c, key=lambda w: (rs.height_of(w), w))
-
-    den_top = max_key(denominator)
+    # Long division from the lowest term up, in the (height, lex) order, which
+    # is a total order kept by translation: each step clears the remainder's
+    # lowest term and leaves only higher ones.  The remainder's keys wait on a
+    # heap, and keys cancelled since they were pushed are skipped.
+    denominator = [(rs.height_of(w), w, m) for w, m in signed_orbit(rho).items()]
+    low_h, low, low_m = min(denominator)  # low_m is +-1, the sign of the longest element
     quotient: dict[Weight, int] = {}
     work = dict(numerator)
-    while work:
-        top = max_key(work)
-        coeff = work[top]
-        shift = tuple(x - y for x, y in zip(top, den_top))
-        quotient[shift] = quotient.get(shift, 0) + coeff
-        for w, m in denominator.items():
+    heap = [(rs.height_of(w), w) for w in work]
+    heapify(heap)
+    while heap:
+        h, bottom = heappop(heap)
+        coeff = work.get(bottom)
+        if coeff is None:
+            continue
+        shift = tuple(x - y for x, y in zip(bottom, low))
+        q = quotient[shift] = coeff * low_m
+        for hw, w, m in denominator:
             key = tuple(x + y for x, y in zip(w, shift))
-            n = work.get(key, 0) - coeff * m
+            n = work.get(key)
+            if n is None:
+                heappush(heap, (hw + h - low_h, key))
+                n = 0
+            n -= q * m
             if n:
                 work[key] = n
             else:
-                work.pop(key, None)
-    assert all(m > 0 for m in quotient.values())
+                del work[key]
+    assert not work and all(m > 0 for m in quotient.values())
     return quotient
 
 

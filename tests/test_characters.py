@@ -82,7 +82,8 @@ def test_dim_memo_hit_keeps_the_checks():
     levi = Subsystem.levi(6, 1)
     lam = (-2, 0, 0, 0, 0, 1)
     assert weyl_dim(rs, levi, lam) == 10
-    assert rs.dim_memo == {(levi.nodes, lam): 10}
+    dims = rs.sub_roots(levi).dims
+    assert dims == {lam: 10}
     for wrong in (lam[:5], lam + (0,)):
         with pytest.raises(ValueError, match="weight has length"):
             weyl_dim(rs, levi, wrong)
@@ -91,7 +92,7 @@ def test_dim_memo_hit_keeps_the_checks():
     with pytest.raises(ValueError, match="integer coordinates"):
         weyl_dim(rs, levi, (-2.0, 0, 0, 0, 0, 1))
     assert weyl_dim(rs, levi, list(lam)) == 10
-    assert rs.dim_memo == {(levi.nodes, lam): 10}
+    assert dims == {lam: 10}
     ch = irrep_character(rs, levi, lam)
     ch[lam] = 99
     assert irrep_character(rs, levi, lam)[lam] == 1
@@ -199,9 +200,10 @@ def test_cache_toggle():
     """A cold and a warm per-root-system memo agree; results are private copies."""
     rs = RootSystem(get_preset("E6-paper"))
     full = Subsystem.full(6)
-    assert rs.char_memo == {}  # a fresh root system is cold
+    assert rs.memo == {}  # a fresh root system is cold
     a = irrep_character(rs, full, W[0])
-    assert set(rs.char_memo) == {(full.nodes, W[0])}
+    assert set(rs.memo) == {full.nodes}
+    assert set(rs.sub_roots(full).chars) == {W[0]}
     b = irrep_character(rs, full, W[0])
     assert a == b == irrep_character(RootSystem(get_preset("E6-paper")), full, W[0])
     # returned dicts are private copies: mutating one must not leak
@@ -278,7 +280,7 @@ def test_guardrail_fires_before_freudenthal(monkeypatch):
     rs = RootSystem(get_preset("E6-paper"))
     with pytest.raises(GuardrailExceeded):
         irrep_character(rs, Subsystem.full(6), (12, 0, 0, 0, 0, 0))
-    assert not rs.char_memo
+    assert [sr.chars for sr in rs.memo.values()] == [{}]
 
 
 # -- plethysms ----------------------------------------------------------------------
@@ -486,7 +488,7 @@ def test_oracles_do_not_import_decompose():
     # neither decompose nor the Brauer-Klimyk sum it shares with levi_tensor,
     # nor the Weyl-group kernels under them: the in-place walk, the batched
     # dotted walk, the coroot chain and the layered orbit
-    engine = {"decompose", "brauer_klimyk", "_walk", "dotted_walks", "sub_roots", "coroot_pairings", "orbit_layers"}
+    engine = {"decompose", "brauer_klimyk", "_walk", "dotted_walks", "sub_roots", "chain_pairings", "orbit_layers"}
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylbott"):

@@ -393,6 +393,20 @@ def test_non_simply_laced_corpus(capsys, name, dim_x, index, size):
     assert (report["verdict"], report["dim_x"], report["index"], report["size"]) == ("pass", dim_x, index, size)
 
 
+def test_kuznetsov_gr25(capsys, tmp_path):
+    # Kuznetsov's Lefschetz collection (O, U*)(t), t = 0..4, on Gr(2,5) = A4/P2
+    # (dim 6, index 5), where U* = (1, 0, 0, 0) has rank 2 and c1 = 1
+    path = CORPUS / "kuznetsov-gr25.json"
+    cartan = tmp_path / "a4.json"
+    cartan.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8"))["cartan"]))
+    for cmd, value in (("dim", 2), ("c1", 1)):
+        assert run(capsys, cmd, "--preset", str(cartan), "--crossed", "2", "--weight=1,0,0,0") == (0, f"{value}\n", "")
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 0
+    got = (report["verdict"], report["dim_x"], report["index"], report["size"], report["violations"])
+    assert got == ("pass", 6, 5, 10, [])
+
+
 def transposed(name):
     """A corpus collection with its Cartan matrix transposed."""
     obj = json.loads((CORPUS / f"{name}.json").read_text(encoding="utf-8"))
@@ -696,6 +710,28 @@ def test_closed_stdout_keeps_exit_code():
     assert head == b'{\n  "colle'
     assert code == 0
     assert err == b""
+
+
+def test_python_m_weylbott_runs_the_cli():
+    # the package runs as the module weylbott.cli does: a usage error exits 2
+    # with argparse's message, never 1 (a "fail" verdict) or a traceback
+    src = str(Path(weylbott.__file__).resolve().parents[1])
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+
+    package, module = python_m("weylbott", "presets"), python_m("weylbott.cli", "presets")
+    assert (package.returncode, package.stderr) == (module.returncode, module.stderr) == (0, "")
+    assert package.stdout == module.stdout == "\n".join(preset_names()) + "\n"
+    bad = python_m("weylbott", "presets", "--format", "xml")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert "invalid choice: 'xml'" in bad.stderr and "Traceback" not in bad.stderr
 
 
 def test_cli_import_leaves_out_dataclasses():

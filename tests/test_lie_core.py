@@ -210,12 +210,12 @@ def test_orbit_of_the_crossed_weight_is_the_rank_of_k0(rows, crossed, rank):
 
 # Subsystems whose simple factors have different root lengths, so that each
 # factor's symmetrizer is scaled on its own: B3 x G2, and the F4 Levi at node 2,
-# an A1 beside an A2 of the other root length.  The weights have multiplicities
-# up to 3, and (1, 0, 0, 1, 0) mixes the factors.
+# an A1 beside an A2 of the other root length.  Multiplicities reach 3, and 6 in
+# (1, 0, 1, 1, 0), of dimension 672; it and (1, 0, 0, 1, 0) mix the factors.
 MIXED = [
     (
         "B3xG2", _direct_sum(_chain(3, "B"), G2_ROWS), None, (2, 2, 1, 3, 1),
-        [(0, 1, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 2), (1, 0, 0, 1, 0)],
+        [(0, 1, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 2), (1, 0, 0, 1, 0), (1, 0, 1, 1, 0)],
     ),
     (
         "F4-levi-2", F4_ROWS, 2, (2, 0, 3, 3),

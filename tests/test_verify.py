@@ -133,8 +133,9 @@ def test_reversed_cayley27_fails():
     assert any(v.rule == "backward morphism" for v in report.violations)
 
 
-# Two metamorphic relations, each a transformation of cayley27 that must keep
-# it strongly exceptional and move its Ext tables in a known way.
+# Metamorphic relations, each a transformation of cayley27 that must keep it
+# strongly exceptional and move its Ext tables in a known way: reversing the
+# duals, and relabelling the nodes (a diagram automorphism, another labelling).
 
 
 def test_dual_reversed_cayley27_passes_with_transposed_tables(cayley27_report):
@@ -149,22 +150,48 @@ def test_dual_reversed_cayley27_passes_with_transposed_tables(cayley27_report):
             assert report.table_for(i, j) == cayley27_report.table_for(28 - j, 28 - i), (i, j)
 
 
+def carried(phi, w):
+    """w relabelled by phi: the coordinate at node a moves to node phi[a - 1]."""
+    out = [0] * len(w)
+    for a, x in zip(phi, w):
+        out[a - 1] = x
+    return tuple(out)
+
+
+def carried_entries(phi, entries):
+    """A Cartan matrix relabelled by phi: entry (a, b) moves to (phi(a), phi(b))."""
+    return [list(carried(phi, row)) for row in carried(phi, entries)]
+
+
+def assert_tables_carried(report, original, phi):
+    """Every pair keeps its dims, and its G-modules are the original's relabelled by phi."""
+    for got, want in zip(report.tables, original.tables, strict=True):
+        assert got.dims == want.dims
+        assert got.weights == [sorted((carried(phi, g), m) for g, m in ws) for ws in want.weights]
+
+
 def test_diagram_automorphism_carries_cayley27_to_e6_p6(cayley27_report):
     # 1 <-> 6 and 2 <-> 5 fix the Cartan matrix of E6-paper and carry P1 to P6
-    perm = (6, 5, 3, 4, 2, 1)
-
-    def image(w):
-        return tuple(w[k - 1] for k in perm)
-
+    phi = (6, 5, 3, 4, 2, 1)
     entries = get_preset("E6-paper").entries
-    assert [[entries[a - 1][b - 1] for b in perm] for a in perm] == [list(row) for row in entries]
+    assert carried_entries(phi, entries) == [list(row) for row in entries]
     coll = builtin_collection("cayley27")
     setup = make_setup(RootSystem(get_preset("E6-paper")), 6)
-    report = verify_strong_exceptional(Collection("E6/P6", setup, tuple(map(image, coll.bundles))))
+    report = verify_strong_exceptional(Collection("E6/P6", setup, tuple(carried(phi, w) for w in coll.bundles)))
     assert report.verdict == "pass"
-    for got, want in zip(report.tables, cayley27_report.tables):
-        assert got.dims == want.dims
-        assert got.weights == [sorted((image(g), m) for g, m in ws) for ws in want.weights]
+    assert_tables_carried(report, cayley27_report, phi)
+
+
+def test_relabelling_carries_cayley27_to_e6_bourbaki(cayley27_report):
+    # phi = (1->1, 2->3, 3->4, 4->2, 5->5, 6->6) takes E6-paper onto E6-bourbaki
+    # and fixes the crossed node
+    phi = (1, 3, 4, 2, 5, 6)
+    assert carried_entries(phi, get_preset("E6-paper").entries) == [list(r) for r in get_preset("E6-bourbaki").entries]
+    coll = builtin_collection("cayley27")
+    setup = make_setup(RootSystem(get_preset("E6-bourbaki")), 1)
+    report = verify_strong_exceptional(Collection("E6-bourbaki/P1", setup, tuple(carried(phi, w) for w in coll.bundles)))
+    assert report.verdict == "pass"
+    assert_tables_carried(report, cayley27_report, phi)
 
 
 def test_kapranov_q7_passes():
@@ -222,36 +249,38 @@ def test_hom_matrix_values(cayley):
 
 def test_report_deterministic_across_memo_states():
     coll = builtin_collection("kapranovQ7")
-    rs = coll.setup.rs
-    memos = (rs.char_memo, rs.dim_memo)
-    assert memos == ({}, {})
+    memo = coll.setup.rs.memo
+    assert memo == {}
     cold = report_to_json(verify_strong_exceptional(coll))
     # a finished run leaves no characters or dimensions behind
-    assert memos == ({}, {})
+    assert memo == {}
     for a in coll.bundles:
         for b in coll.bundles:
             ext_table(coll.setup, a, b)
-    assert all(memos)
+    assert any(sr.chars for sr in memo.values()) and any(sr.dims for sr in memo.values())
     warm = report_to_json(verify_strong_exceptional(coll))
-    assert memos == ({}, {})
+    assert memo == {}
     fresh = report_to_json(verify_strong_exceptional(builtin_collection("kapranovQ7")))
     assert cold == warm == fresh
 
 
 def test_engine_calls_add_no_cache_to_the_root_system():
-    # the character and dimension memos are the only caches a root system
-    # holds, and no call adds another: a cache keyed by pairs of bundles
-    # would grow quadratically for a caller that keeps the root system
+    # one memo of subsystem records, each with its dimension and character
+    # memos, is the only cache a root system holds, and no call adds another:
+    # a cache keyed by pairs of bundles would grow quadratically for a caller
+    # that keeps the root system
     coll = builtin_collection("cayley27")  # the ledger's identities live on E6/P1
     setup, rs = coll.setup, coll.setup.rs
     attrs = set(vars(rs))
-    caches = {k for k, v in vars(rs).items() if isinstance(v, dict)}
-    assert caches == {"_sub_roots", "char_memo", "dim_memo"}
+    assert {k for k, v in vars(rs).items() if isinstance(v, dict)} == {"memo"}
     a, b = coll.bundles[0], coll.bundles[4]
     levi_tensor(setup, a, b)
     ext_table(setup, a, b)
-    verify_strong_exceptional(coll)
     check_ledger(setup, builtin_ledger())
+    assert set(rs.memo) == {setup.levi.nodes, rs.full.nodes}
+    for sr in rs.memo.values():
+        assert {k for k, v in sr._asdict().items() if isinstance(v, dict)} == {"dims", "chars"}
+    verify_strong_exceptional(coll)
     assert set(vars(rs)) == attrs
 
 
@@ -340,6 +369,50 @@ def test_sign_count_on_the_lg36_weights_on_b3():
     n = len(coll.bundles)
     violations = [v for k, dims in enumerate(rows) for v in _check_pair(k // n + 1, k % n + 1, ExtTable(dims, []))]
     assert violations == report.violations and len(violations) == 10
+
+
+def test_seeded_relabelling_of_lg36():
+    # a permutation of the nodes of a non-simply-laced file, applied to the rows
+    # and columns of its Cartan matrix, its crossed node and every weight
+    obj = json.loads((COLLECTIONS / "samokhin-lg36.json").read_text(encoding="utf-8"))
+    phi = tuple(random.Random(5).sample(range(1, 4), 3))
+    assert phi[obj["crossed"] - 1] != obj["crossed"]
+    moved = {
+        "name": "lg36 relabelled",
+        "cartan": {"rank": 3, "entries": carried_entries(phi, obj["cartan"]["entries"])},
+        "crossed": phi[obj["crossed"] - 1],
+        "bundles": [{"weight": list(carried(phi, b["weight"]))} for b in obj["bundles"]],
+    }
+    original = verify_strong_exceptional(collection_from_obj(obj))
+    report = verify_strong_exceptional(collection_from_obj(moved))
+    assert original.verdict == report.verdict == "pass"
+    assert_tables_carried(report, original, phi)
+
+
+# Every window of n bundles of the helix (E_1, ..., E_n, E_1(index), ..., E_n(index))
+# is exceptional when the collection is: by Serre duality, Ext^m(E_i (x) omega^-1, E_j)
+# is dual to Ext^(dim X - m)(E_j, E_i), and omega^-1 = O(index) (Bondal-Polishchuk
+# 1993).  So a backward morphism or a bad endomorphism in any window is an engine bug.
+# Strongness does not follow; it was measured, and every window has it.
+HELIX = ["cayley27", "kapranovQ7", *(path.stem for path in CORPUS)]
+EXCEPTIONAL_RULES = {"endomorphisms not scalar", "higher self-extension", "backward morphism"}
+
+
+@pytest.mark.parametrize("name", HELIX)
+def test_every_helix_window_is_strongly_exceptional(name):
+    coll = CERTIFIED[name]()
+    setup, n = coll.setup, len(coll.bundles)
+    helix = coll.bundles + tuple(twist(setup, w, setup.index) for w in coll.bundles)
+    report = verify_strong_exceptional(Collection(f"{name} helix", setup, helix))
+    for k in range(n):  # the window (H_(k+1), ..., H_(k+n))
+        found = [
+            v
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            for v in _check_pair(i, j, report.table_for(k + i, k + j))
+        ]
+        assert not [v for v in found if v.rule in EXCEPTIONAL_RULES], (k, found)
+        assert found == [], (k, found)
 
 
 # Names that hold JSON syntax, quotes, escapes and non-ASCII text.
