@@ -33,17 +33,14 @@ def _guard(size: int) -> None:
 
 
 def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
-    """Dimension of the irreducible with highest weight lam, by the Weyl product."""
+    """Dimension of the irreducible with highest weight lam: the Weyl product over the coroot chain."""
     lam = rs.require_dominant(sub, lam)
     sr = rs.sub_roots(sub)
-    q = sr.dims.get(lam)
-    if q is None:
-        # <lam + rho, a^vee> = <lam, a^vee> + <rho, a^vee>
-        num = prod(map(add, chain_pairings(sr.chain, lam), sr.coroot_heights))
-        q, rem = divmod(num, sr.rho_product)
-        if rem:
-            raise EngineError(f"Weyl dimension of {lam} is not an integer: {num}/{sr.rho_product}")
-        sr.dims[lam] = q
+    # <lam + rho, a^vee> = <lam, a^vee> + <rho, a^vee>
+    num = prod(map(add, chain_pairings(sr.chain, lam), sr.coroot_heights))
+    q, rem = divmod(num, sr.rho_product)
+    if rem:
+        raise EngineError(f"Weyl dimension of {lam} is not an integer: {num}/{sr.rho_product}")
     return q
 
 

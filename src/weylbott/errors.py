@@ -21,9 +21,10 @@ class NotDecomposable(EngineError):
 
 
 class GuardrailExceeded(EngineError):
-    """A fixed safety bound was passed: a character support or the work of a power
-    operation over characters.MAX_SUPPORT, or the degree entries a certificate would
-    hold over verify.MAX_DEGREE_ENTRIES (checked before any pair is computed)."""
+    """A fixed safety bound of 10^6 was passed: a character support or a power operation's
+    work (characters.MAX_SUPPORT), a certificate's degree entries (verify.MAX_DEGREE_ENTRIES,
+    checked before any pair), or the root closure's (n^2 + 56) x n coordinates, from rank 100
+    on, checked before the closure, so an infinite type of such a rank is refused here."""
 
 
 class ParseError(EngineError):

@@ -16,7 +16,7 @@ import operator
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import NotDominant, NotFiniteType
+from .errors import GuardrailExceeded, NotDominant, NotFiniteType
 
 Weight = tuple[int, ...]
 
@@ -90,14 +90,13 @@ class SubRoots(NamedTuple):
     as (p, i), the p-th plus the simple coroot of zero-based node i.  Its symmetrizer is
     d_j = sum_b <alpha_j, b^vee>^2 over the gcd, 0 off its nodes: sum_b <x, b^vee><y, b^vee>
     is W-invariant (Bourbaki VI.1.12), so d_j is (alpha_j, alpha_j) up to a scale per factor.
-    Its memos by highest weight, filled by weyl_dim and irrep_character, live as long as it."""
+    Its one memo, irreducible characters by highest weight, lives as long as it."""
 
     roots: tuple[PositiveRoot, ...]
     chain: tuple[tuple[int, int], ...]
     coroot_heights: tuple[int, ...]  # <rho, a^vee>, in chain order
     rho_product: int                 # their product, the Weyl denominator
     symmetrizer: tuple[int, ...]     # d, one entry per node of the whole system
-    dims: dict[Weight, int]          # Weyl dimensions, by highest weight
     chars: dict[Weight, dict[Weight, int]]  # irreducible characters, by highest weight
 
 
@@ -142,8 +141,8 @@ class RootSystem:
         self.two_rho_vee: Weight = tuple(
             sum(col) for col in zip(*(r.coroot for r in self.positive_roots))
         )
-        # Each subsystem's record by its nodes, with its memos; a fresh root
-        # system starts cold, and clearing this forgets every record and memo.
+        # Each subsystem's record by its nodes, with its character memo; a fresh
+        # root system starts cold, and clearing this forgets every record and memo.
         self.memo: dict[tuple[int, ...], SubRoots] = {}
 
     # -- construction -------------------------------------------------
@@ -161,6 +160,8 @@ class RootSystem:
         """
         n = self.rank
         max_roots = n * n + 56
+        if max_roots * n > 10 ** 6:  # three rank-n vectors per root: memory grows as n^3
+            raise GuardrailExceeded(f"rank {n} refused: its root closure may hold ({n}^2 + 56) x {n} > 10^6 coordinates")
         # simple coordinates -> (weight, coroot in the simple coroots)
         seen: dict[Weight, tuple[Weight, Weight]] = {}
         queue: deque[Weight] = deque()
@@ -201,7 +202,7 @@ class RootSystem:
     # -- subsystem plumbing -------------------------------------------
 
     def sub_roots(self, sub: Subsystem) -> SubRoots:
-        """Positive roots supported on the given nodes, with their coroot chain and memos."""
+        """Positive roots supported on the given nodes, with their coroot chain and character memo."""
         found = self.memo.get(sub.nodes)
         if found is None:
             off = [j for j in range(self.rank) if j not in sub.index]
@@ -218,7 +219,7 @@ class RootSystem:
             d = [sum(x * x for x in chain_pairings(chain, self.cartan.column(j + 1))) if j in sub.index else 0
                  for j in range(self.rank)]
             g = math.gcd(*d) or 1  # a subsystem with no roots has d = 0
-            found = SubRoots(roots, chain, heights, math.prod(heights), tuple(x // g for x in d), {}, {})
+            found = SubRoots(roots, chain, heights, math.prod(heights), tuple(x // g for x in d), {})
             self.memo[sub.nodes] = found
         return found
 

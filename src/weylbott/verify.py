@@ -98,8 +98,8 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
     unordered pair, cohomology_table once per key on the product so
     shifted, and every pair of a key shares one (frozen) table.  The report
     keeps the collection and so its root system; its memo, which holds the
-    characters and dimensions the run computed, is emptied on return, so that
-    a kept report does not also keep them.
+    characters the run computed, is emptied on return, so that a kept report
+    does not also keep them.
 
     A collection whose certificate would pass MAX_DEGREE_ENTRIES is refused
     before any pair is computed.

@@ -321,6 +321,22 @@ def test_cartan_file_type_a46(capsys, tmp_path):
     assert out.strip() == "47"
 
 
+@pytest.mark.parametrize("kind", ["A100", "affine A99"])
+def test_cartan_file_rank_guardrail(capsys, tmp_path, kind):
+    # the closure keeps three rank-n vectors for each of up to n^2 + 56 roots, so
+    # from rank 100 on, where (n^2 + 56) * n passes 10^6, a matrix is refused before
+    # it starts, an infinite type among them
+    n = 100
+    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    if kind == "affine A99":
+        rows[0][n - 1] = rows[n - 1][0] = -1
+    path = tmp_path / "a100.json"
+    path.write_text(json.dumps({"rank": n, "entries": rows}))
+    code, out, err = run(capsys, "dim", "--preset", str(path), "--weight=" + ",".join(["0"] * n))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: rank 100 refused") and err.count("\n") == 1
+
+
 # -- known-answer corpus ------------------------------------------------------------
 
 CORPUS = Path(__file__).parent / "collections"

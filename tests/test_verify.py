@@ -13,6 +13,7 @@ import weylbott.presets as presets
 import weylbott.verify as verify
 from weylbott import RootSystem, get_preset
 from weylbott.bbw import ExtTable, ext_table
+from weylbott.characters import orbit_size
 from weylbott.errors import GuardrailExceeded
 from weylbott.ledger import builtin_ledger, check_ledger
 from weylbott.parabolic import bundle_rank, levi_tensor, line_bundle, make_setup, twist
@@ -252,12 +253,12 @@ def test_report_deterministic_across_memo_states():
     memo = coll.setup.rs.memo
     assert memo == {}
     cold = report_to_json(verify_strong_exceptional(coll))
-    # a finished run leaves no characters or dimensions behind
+    # a finished run leaves no characters behind
     assert memo == {}
     for a in coll.bundles:
         for b in coll.bundles:
             ext_table(coll.setup, a, b)
-    assert any(sr.chars for sr in memo.values()) and any(sr.dims for sr in memo.values())
+    assert any(sr.chars for sr in memo.values())
     warm = report_to_json(verify_strong_exceptional(coll))
     assert memo == {}
     fresh = report_to_json(verify_strong_exceptional(builtin_collection("kapranovQ7")))
@@ -265,8 +266,8 @@ def test_report_deterministic_across_memo_states():
 
 
 def test_engine_calls_add_no_cache_to_the_root_system():
-    # one memo of subsystem records, each with its dimension and character
-    # memos, is the only cache a root system holds, and no call adds another:
+    # one memo of subsystem records, each with its character memo, is the
+    # only cache a root system holds, and no call adds another:
     # a cache keyed by pairs of bundles would grow quadratically for a caller
     # that keeps the root system
     coll = builtin_collection("cayley27")  # the ledger's identities live on E6/P1
@@ -279,7 +280,7 @@ def test_engine_calls_add_no_cache_to_the_root_system():
     check_ledger(setup, builtin_ledger())
     assert set(rs.memo) == {setup.levi.nodes, rs.full.nodes}
     for sr in rs.memo.values():
-        assert {k for k, v in sr._asdict().items() if isinstance(v, dict)} == {"dims", "chars"}
+        assert {k for k, v in sr._asdict().items() if isinstance(v, dict)} == {"chars"}
     verify_strong_exceptional(coll)
     assert set(vars(rs)) == attrs
 
@@ -330,6 +331,30 @@ CERTIFIED = {
 }
 
 
+# the entries of CERTIFIED that pass; the rest are a reversed order and random samples
+FULL = ["cayley27", "kapranovQ7", *(path.stem for path in CORPUS)]
+
+
+def k0_rank(setup) -> int:
+    """|W/W_P|, the rank of K_0: the orbit size of the crossed fundamental weight."""
+    rs = setup.rs
+    return orbit_size(rs, rs.full, tuple(int(i == setup.crossed - 1) for i in range(rs.rank)))
+
+
+@pytest.mark.parametrize("name", FULL)
+def test_certified_collection_is_numerically_full(name):
+    coll = CERTIFIED[name]()
+    assert verify_strong_exceptional(coll).verdict == "pass"
+    assert len(coll.bundles) == k0_rank(coll.setup)
+
+
+def test_cayley27_less_a_bundle_passes_but_is_not_full():
+    coll = builtin_collection("cayley27")
+    part = Collection("cayley27 less its last bundle", coll.setup, coll.bundles[:-1])
+    assert verify_strong_exceptional(part).verdict == "pass"
+    assert (len(part.bundles), k0_rank(coll.setup)) == (26, 27)
+
+
 @pytest.mark.parametrize("make", list(CERTIFIED.values()), ids=list(CERTIFIED))
 def test_memoized_report_matches_per_pair_path(make):
     coll = make()
@@ -369,6 +394,35 @@ def test_sign_count_on_the_lg36_weights_on_b3():
     n = len(coll.bundles)
     violations = [v for k, dims in enumerate(rows) for v in _check_pair(k // n + 1, k % n + 1, ExtTable(dims, []))]
     assert violations == report.violations and len(violations) == 10
+
+
+# the dimension of a backward Hom between a spinor bundle and an O(k) on the
+# wrong side of it on Q^8, by how far O(k) stands from the spinors' place, 0 first
+Q8_SPINOR_HOM = (16, 144, 720, 2640, 7920, 20592, 48048, 102960)
+
+
+@pytest.mark.parametrize("t", range(-1, 3))
+def test_q8_spinor_placements(t):
+    # the negative controls of kapranov-q8.json: the spinor pair S(t), S'(t)
+    # inserted at position p among O, ..., O(7) passes exactly when p = t + 1;
+    # otherwise a degree-0 morphism runs backward between each spinor and each
+    # O(k) on the wrong side of it
+    obj = json.loads((COLLECTIONS / "kapranov-q8.json").read_text(encoding="utf-8"))
+    lines = obj["bundles"][2:]
+    spinors = [{"weight": [t, 0, 0, 1, 0]}, {"weight": [t, 0, 0, 0, 1]}]
+    for p in range(9):
+        coll = collection_from_obj({**obj, "bundles": lines[:p] + spinors + lines[p:]})
+        report = verify_strong_exceptional(coll)
+        assert sign_count_dims(coll) == [table.dims for table in report.tables]
+        want = [  # O(k) sits at k + 1 before the spinors and at k + 3 after them
+            Violation(pair, 0, Q8_SPINOR_HOM[k - t - 1], "backward morphism")
+            for k in range(t + 1, p) for pair in ((p + 1, k + 1), (p + 2, k + 1))
+        ] + [
+            Violation(pair, 0, Q8_SPINOR_HOM[t - k], "backward morphism")
+            for k in range(p, t + 1) for pair in ((k + 3, p + 1), (k + 3, p + 2))
+        ]
+        assert sorted(report.violations) == sorted(want), p
+        assert (report.violations == []) == (p == t + 1)
 
 
 def test_seeded_relabelling_of_lg36():
