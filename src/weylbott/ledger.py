@@ -72,26 +72,16 @@ def _triv(setup: ParabolicSetup) -> Character:
 # nests 2 deep).
 MAX_NESTING = 64
 
-_TOKEN = re.compile(r"\s*(?:(-?\d+)|([A-Za-z]+)|([\[\](),*+^]))")
+# Whitespace is what no group matches; any other character that starts no token is bad.
+_TOKEN = re.compile(r"(?P<int>-?\d+)|(?P<name>[A-Za-z]+)|(?P<punct>[\[\](),*+^])|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(len(text) - len(stripped), "a token")
-        if m.group(1) is not None:
-            out.append(("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            out.append(("name", m.group(2), m.start(2)))
-        else:
-            out.append(("punct", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(m.start(), "a token")
+        out.append((m.lastgroup, m.group(), m.start()))
     out.append(("end", "", len(text)))
     return out
 
@@ -111,15 +101,15 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, value: str) -> None:
-        kind, val, offset = self.peek()
+    def expect(self, value: str) -> int:
+        _, val, offset = self.next()
         if val != value:
             raise ParseError(offset, f"'{value}'")
-        self.next()
+        return offset
 
     def parse(self) -> Evaluator:
         e = self.expr()
-        kind, _, offset = self.peek()
+        kind, _, offset = self.next()
         if kind != "end":
             raise ParseError(offset, "end of input")
         return e
@@ -166,32 +156,26 @@ class _Parser:
     def weight_list(self) -> Weight:
         self.expect("[")
         coords = []
-        while True:
-            kind, val, offset = self.peek()
+        sep = ","
+        while sep == ",":
+            kind, val, offset = self.next()
             if kind != "int":
                 raise ParseError(offset, "an integer coordinate")
             coords.append(int(val))
-            self.next()
-            kind, val, offset = self.peek()
-            if val == ",":
-                self.next()
-                continue
-            if val == "]":
-                self.next()
-                return tuple(coords)
+            _, sep, offset = self.next()
+        if sep != "]":
             raise ParseError(offset, "',' or ']'")
+        return tuple(coords)
 
     def power(self) -> int:
         self.expect("^")
-        kind, val, offset = self.peek()
+        kind, val, offset = self.next()
         if kind != "int" or int(val) < 0:
             raise ParseError(offset, "a nonnegative exponent")
-        self.next()
         return int(val)
 
     def group(self) -> Evaluator:
-        offset = self.peek()[2]
-        self.expect("(")
+        offset = self.expect("(")
         if self.depth == MAX_NESTING:
             raise ParseError(offset, f"at most {MAX_NESTING} nested groups")
         self.depth += 1
@@ -201,14 +185,9 @@ class _Parser:
         return e
 
     def primary(self) -> Evaluator:
-        kind, val, offset = self.peek()
-        if val == "(":
+        if self.peek()[1] == "(":
             return self.group()
-        if kind != "name":
-            raise ParseError(offset, "an expression")
-        if val not in ("E", "V", "O", "wedge", "sym", "dual", "gr"):
-            raise ParseError(offset, "one of E, V, O, wedge, sym, dual, gr")
-        self.next()
+        kind, val, offset = self.next()
         if val == "E":
             w = self.weight_list()
             return lambda setup: bundle_char(setup, w)
@@ -222,6 +201,8 @@ class _Parser:
             return lambda setup: char_dual(e(setup))
         if val == "gr":
             return self.group()  # the associated graded has the same character
+        if val not in ("wedge", "sym"):
+            raise ParseError(offset, "one of E, V, O, wedge, sym, dual, gr" if kind == "name" else "an expression")
         k = self.power()
         e = self.group()
 

@@ -30,6 +30,13 @@ def require_int(x, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
+def guard_rank(n: int) -> None:
+    """GuardrailExceeded if a rank-n root closure may pass 10^6 coordinates: it keeps
+    three rank-n vectors for each of up to n^2 + 56 roots, so memory grows as n^3."""
+    if (n * n + 56) * n > 10 ** 6:
+        raise GuardrailExceeded(f"rank {n} refused: its root closure may hold ({n}^2 + 56) x {n} > 10^6 coordinates")
+
+
 class CartanMatrix:
     """Integer Cartan matrix with entries[i][j] = <alpha_j, alpha_i^vee>, from any iterable of rows."""
 
@@ -159,9 +166,8 @@ class RootSystem:
         cross terms of n^2 cover any second exceptional component.
         """
         n = self.rank
+        guard_rank(n)
         max_roots = n * n + 56
-        if max_roots * n > 10 ** 6:  # three rank-n vectors per root: memory grows as n^3
-            raise GuardrailExceeded(f"rank {n} refused: its root closure may hold ({n}^2 + 56) x {n} > 10^6 coordinates")
         # simple coordinates -> (weight, coroot in the simple coroots)
         seen: dict[Weight, tuple[Weight, Weight]] = {}
         queue: deque[Weight] = deque()

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .lie_core import CartanMatrix
+from .lie_core import CartanMatrix, guard_rank
 
 
 def _simply_laced(rank: int, edges: list[tuple[int, int]]) -> CartanMatrix:
@@ -72,7 +72,8 @@ def require_keys(obj: dict, allowed: tuple[str, ...], what: str) -> None:
 
 
 def cartan_from_obj(obj: dict) -> CartanMatrix:
-    """Build a Cartan matrix from {"rank": n, "entries": [[...], ...]}."""
+    """Build a Cartan matrix from {"rank": n, "entries": [[...], ...]}; the row count and the
+    rank bound are checked before any entry is read, so an oversized file fails fast."""
     if not isinstance(obj, dict):
         raise ValueError(f"a Cartan matrix must be a JSON object, got {obj!r}")
     require_keys(obj, ("rank", "entries"), "a Cartan matrix")
@@ -80,10 +81,10 @@ def cartan_from_obj(obj: dict) -> CartanMatrix:
     entries = obj.get("entries")
     if not isinstance(entries, list):
         raise ValueError(f"entries must be a list of rows, got {entries!r}")
-    rows = [as_int_list(row, "a Cartan matrix row") for row in entries]
-    if len(rows) != rank:
-        raise ValueError(f"entries has {len(rows)} rows, rank says {rank}")
-    return CartanMatrix(rows)
+    if len(entries) != rank:
+        raise ValueError(f"entries has {len(entries)} rows, rank says {rank}")
+    guard_rank(rank)
+    return CartanMatrix(as_int_list(row, "a Cartan matrix row") for row in entries)
 
 
 def read_json(path: str):

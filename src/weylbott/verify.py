@@ -10,6 +10,7 @@ deterministic report.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .bbw import ExtTable, cohomology_table
@@ -311,27 +312,15 @@ def render_report_text(report: VerificationReport) -> str:
     lines.append("Hom matrix (dim Hom(E_row, E_col)):")
     hom = [[report.table_for(i + 1, j + 1).dims[0] for j in range(n)] for i in range(n)]
     width = max(len(str(x)) for row in hom for x in row)
-    boundaries: set[int] = set()
-    if coll.blocks:
-        acc = 0
-        for b in coll.blocks[:-1]:
-            acc += b
-            boundaries.add(acc)
+    cuts = set(accumulate((coll.blocks or ())[:-1]))  # first index of each block after the first
 
     def fmt_row(row: list[int]) -> str:
-        parts = []
-        for j, x in enumerate(row):
-            if j in boundaries:
-                parts.append("|")
-            parts.append(str(x).rjust(width))
-        return " ".join(parts)
+        return " ".join(("| " if j in cuts else "") + str(x).rjust(width) for j, x in enumerate(row))
 
-    hline = None
+    rule = "-" * len(fmt_row(hom[0]))
     for i, row in enumerate(hom):
-        if i in boundaries:
-            if hline is None:
-                hline = "-" * len(fmt_row(row))
-            lines.append(hline)
+        if i in cuts:
+            lines.append(rule)
         lines.append(fmt_row(row))
     lines.append("")
     if report.violations:

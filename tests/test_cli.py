@@ -198,6 +198,23 @@ def test_golden_stdout(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of the text certificate after its first line, which carries the
+# elapsed time: the Hom matrix with its block rules, (3, 3, 3, 2, ..., 2) on
+# cayley27 and (7, 1) on kapranovQ7, and the verdict line.
+GOLDEN_TEXT_BODY = [
+    ("cayley27", "53d25f0d9d70d8ba45451ba3c007df1f774a4af761999077b611babe1261aecb"),
+    ("kapranovQ7", "03113d45283817f83c283a0532984c2f4af2fcf7decc11a4db6b100611ab1d08"),
+]
+
+
+@pytest.mark.parametrize("name,digest", GOLDEN_TEXT_BODY, ids=[n for n, _ in GOLDEN_TEXT_BODY])
+def test_golden_text_body(capsys, name, digest):
+    code, out, err = run(capsys, "verify", name)
+    assert code == 0 and err == ""
+    body = out.split("\n", 1)[1]
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == digest
+
+
 def test_ledger_json_schema(capsys, registry):
     code, obj = run_json(capsys, "ledger")
     assert code == 0
@@ -321,15 +338,17 @@ def test_cartan_file_type_a46(capsys, tmp_path):
     assert out.strip() == "47"
 
 
-@pytest.mark.parametrize("kind", ["A100", "affine A99"])
+@pytest.mark.parametrize("kind", ["A100", "affine A99", "bad first entry"])
 def test_cartan_file_rank_guardrail(capsys, tmp_path, kind):
     # the closure keeps three rank-n vectors for each of up to n^2 + 56 roots, so
     # from rank 100 on, where (n^2 + 56) * n passes 10^6, a matrix is refused before
-    # it starts, an infinite type among them
+    # it starts, an infinite type among them, and before any entry is read
     n = 100
     rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
     if kind == "affine A99":
         rows[0][n - 1] = rows[n - 1][0] = -1
+    if kind == "bad first entry":
+        rows[0][0] = "x"
     path = tmp_path / "a100.json"
     path.write_text(json.dumps({"rank": n, "entries": rows}))
     code, out, err = run(capsys, "dim", "--preset", str(path), "--weight=" + ",".join(["0"] * n))

@@ -93,6 +93,36 @@ def test_parse_errors_carry_position_and_expectation():
     assert info.value.expected == "end of input"
 
 
+TOKEN_EDGES = [
+    ("", (0, "an expression")),
+    ("   ", (3, "an expression")),
+    ("O   ", None),
+    ("\tO", None),
+    ("O\x1c+\x1cO", None),  # \x1c is Unicode whitespace, so it separates tokens
+    (" O ", None),
+    ("O @", (2, "a token")),
+    ("-", (0, "a token")),
+    ("O(-x)", (2, "a token")),
+    ("E[]", (2, "an integer coordinate")),
+    ("E[1,2", (5, "',' or ']'")),
+    ("Sym^2(O)", (0, "one of E, V, O, wedge, sym, dual, gr")),
+    ("wedge(O)", (5, "'^'")),
+    ("V[1,0]]", (6, "end of input")),
+    ("gr(O", (4, "')'")),
+]
+
+
+@pytest.mark.parametrize("text,error", TOKEN_EDGES, ids=[repr(t) for t, _ in TOKEN_EDGES])
+def test_tokenizer_edges(text, error):
+    # None: the text parses; else the (position, expected) of its ParseError
+    if error is None:
+        parse_expr(text)
+        return
+    with pytest.raises(ParseError) as info:
+        parse_expr(text)
+    assert (info.value.position, info.value.expected) == error
+
+
 def test_groups_nest_to_a_fixed_depth(cayley):
     deepest = 64  # the parser's bound; the built-in ledger nests 2 deep
     assert ev(cayley, "(" * deepest + "O" + ")" * deepest) == {ZERO6: 1}
