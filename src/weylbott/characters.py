@@ -10,6 +10,7 @@ Weyl-invariant character and a tensor product with an irreducible.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb, prod
 from operator import add, mul, sub as subtract
 from typing import Iterable, NoReturn
@@ -99,7 +100,8 @@ def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight, dom: dict) -> Char
     d = sr.symmetrizer
     # per root: its weight, and the form <alpha, .> as (simple coordinates) x d
     steps = [(r.weight, tuple(map(mul, r.simple_coords, d))) for r in sr.roots]
-    mults: Character = dict.fromkeys(weyl_orbit(rs, sub, lam), 1)
+    # _dominant_weights has bounded the support, so each orbit is written as it is walked
+    mults: Character = dict.fromkeys(chain.from_iterable(rs.orbit_layers(sub, lam)), 1)
     for nu in sorted(dom, key=lambda w: (sum(dom[w]), w)):
         if nu == lam:
             continue
@@ -117,19 +119,25 @@ def _freudenthal(rs: RootSystem, sub: Subsystem, lam: Weight, dom: dict) -> Char
         q, rem = divmod(2 * total, den)
         if rem or q <= 0:
             raise EngineError(f"Freudenthal multiplicity of {nu} in {lam} is {2 * total}/{den}")
-        for w in weyl_orbit(rs, sub, nu):
-            mults[w] = q
+        mults.update(dict.fromkeys(chain.from_iterable(rs.orbit_layers(sub, nu)), q))
     return mults
 
 
 def irrep_character(rs: RootSystem, sub: Subsystem, lam: Weight) -> Character:
-    """Full character of the irreducible with highest weight lam; a private copy."""
+    """Full character of the irreducible with highest weight lam; a private copy.
+
+    Freudenthal runs once per part, lam set to 0 off the nodes of sub: lam - part
+    pairs to 0 with every coroot of sub, so lam's character is the part's shifted by it."""
     lam = rs.require_dominant(sub, lam)
     chars = rs.sub_roots(sub).chars
-    out = chars.get(lam)
+    part = tuple([x if i in sub.index else 0 for i, x in enumerate(lam)])
+    out = chars.get(part)
     if out is None:
-        out = chars[lam] = _freudenthal(rs, sub, lam, _dominant_weights(rs, sub, lam))
-    return dict(out)
+        out = chars[part] = _freudenthal(rs, sub, part, _dominant_weights(rs, sub, part))
+    if part == lam:
+        return dict(out)
+    shift = tuple(map(subtract, lam, part))
+    return {tuple(map(add, w, shift)): m for w, m in out.items()}
 
 
 # -- ring operations ----------------------------------------------------
@@ -169,7 +177,7 @@ def char_mul(a: Character, b: Character) -> Character:
     out: Character = {}
     for wa, ma in a.items():
         for wb, mb in b.items():
-            w = tuple(x + y for x, y in zip(wa, wb))
+            w = tuple(map(add, wa, wb))
             n = out.get(w, 0) + ma * mb
             if n:
                 out[w] = n
@@ -220,6 +228,7 @@ def power_op(c: Character, k: int, kind: str) -> Character:
     layers: list[Character] = [{(0,) * _rank_of(c): 1} if c else {}] + [{} for _ in range(k)]
     work = 0
     for w, m in c.items():
+        steps = [tuple(i * x for x in w) for i in range(k + 1)]  # i w, by i
         # highest layer first, so each step reads layers this weight has not yet changed
         for j in range(k, 0, -1):
             for i in range(1, j + 1):
@@ -231,9 +240,9 @@ def power_op(c: Character, k: int, kind: str) -> Character:
                     raise GuardrailExceeded(f"{kind}^{k} passes the work bound {MAX_SUPPORT} at {kind}^{j}")
                 # in place, so a step costs what it counts (char_add would copy
                 # layer j every step); all terms are positive, none cancels
-                out = layers[j]
+                out, step = layers[j], steps[i]
                 for v, n in layers[j - i].items():
-                    u = tuple(x + i * y for x, y in zip(v, w))
+                    u = tuple(map(add, v, step))
                     out[u] = out.get(u, 0) + coeff * n
     return layers[k]
 

@@ -36,7 +36,6 @@ from .characters import (
     char_add,
     char_dual,
     char_mul,
-    char_scale,
     char_twist,
     decompose,
     irrep_character,
@@ -259,7 +258,12 @@ def check_identity(setup: ParabolicSetup, ident: Identity) -> CheckResult:
     diff: Character = {}
     for idx, term in enumerate(ident.evaluators):
         sign = 1 if idx % 2 == 0 else -1
-        diff = char_add(diff, char_scale(eval_expr(setup, term), sign))
+        for w, m in eval_expr(setup, term).items():
+            n = diff.get(w, 0) + sign * m
+            if n:
+                diff[w] = n
+            else:
+                diff.pop(w, None)
     # every evaluator gives a W_L-invariant character, so a difference always decomposes
     comps = tuple(decompose(setup.rs, setup.levi, diff, virtual=True)) if diff else None
     return CheckResult(ident.name, ident.kind, not diff, diff, comps)

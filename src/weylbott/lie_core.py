@@ -97,14 +97,15 @@ class SubRoots(NamedTuple):
     as (p, i), the p-th plus the simple coroot of zero-based node i.  Its symmetrizer is
     d_j = sum_b <alpha_j, b^vee>^2 over the gcd, 0 off its nodes: sum_b <x, b^vee><y, b^vee>
     is W-invariant (Bourbaki VI.1.12), so d_j is (alpha_j, alpha_j) up to a scale per factor.
-    Its one memo, irreducible characters by highest weight, lives as long as it."""
+    Its one memo, irreducible characters by part, lives as long as it: a part is a highest
+    weight with its coordinates off the nodes set to 0, and a twist of it is a shift."""
 
     roots: tuple[PositiveRoot, ...]
     chain: tuple[tuple[int, int], ...]
     coroot_heights: tuple[int, ...]  # <rho, a^vee>, in chain order
     rho_product: int                 # their product, the Weyl denominator
     symmetrizer: tuple[int, ...]     # d, one entry per node of the whole system
-    chars: dict[Weight, dict[Weight, int]]  # irreducible characters, by highest weight
+    chars: dict[Weight, dict[Weight, int]]  # irreducible characters, by part
 
 
 class Subsystem:

@@ -2,14 +2,14 @@
 
 import ast
 import random
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import weylbott.characters as characters
-from weylbott import RootSystem, Subsystem, get_preset
+from weylbott import CartanMatrix, RootSystem, Subsystem, get_preset
 from weylbott.characters import (
     MAX_SUPPORT,
     char_add,
@@ -208,6 +208,82 @@ def test_cache_toggle():
     assert irrep_character(rs, full, W[0]) == b != a
 
 
+def unit(rank, node):
+    return tuple(int(i == node - 1) for i in range(rank))
+
+
+# (Cartan matrix, subsystem nodes, parts): a part is zero off the nodes, and a
+# twist moves the coordinates there, which pair to 0 with every coroot of the
+# subsystem.  A1/P1's Levi has no roots, and E6 nodes (2, 3, 4) leave three off.
+TWIST_CASES = {
+    "E6-P1": (get_preset("E6-paper"), (2, 3, 4, 5, 6), [ZERO6, W[5], W[3]]),
+    "D5-P5": (get_preset("D5"), (1, 2, 3, 4), [(0,) * 5, *(unit(5, j) for j in (1, 2, 3, 4)), (1, 0, 0, 1, 0)]),
+    "A1-P1": (CartanMatrix([[2]]), (), [(0,)]),
+    "E6-nodes-2-4": (get_preset("E6-paper"), (2, 3, 4), [ZERO6, W[1], W[2], W[3], (0, 1, 0, 1, 0, 0)]),
+}
+
+
+def twists(rank, nodes):
+    """Shifts t at each node off the subsystem, t = -3..3, one node after another."""
+    off = [j for j in range(1, rank + 1) if j not in nodes]
+    return [tuple(t * x for x in unit(rank, j)) for j in off for t in range(-3, 4) if t]
+
+
+@cache
+def twisted_orbit_sums(name, lam):
+    """The oracle's character of lam in a case of TWIST_CASES, once for both orders."""
+    cartan, nodes, _ = TWIST_CASES[name]
+    return orbit_sum_character(RootSystem(cartan), Subsystem(nodes), lam)
+
+
+@pytest.mark.parametrize("part_first", [True, False], ids=["part-first", "part-last"])
+@pytest.mark.parametrize("name", TWIST_CASES)
+def test_twisted_character_matches_orbit_sums(name, part_first):
+    # one Freudenthal run per part: each twist is served as a shift of it,
+    # whether the part was asked for first or only after its twists
+    cartan, nodes, parts = TWIST_CASES[name]
+    rs = RootSystem(cartan)
+    sub = Subsystem(nodes)
+    chars = rs.sub_roots(sub).chars
+    shifts = twists(rs.rank, nodes)
+    for k, part in enumerate(parts):
+        lams = [tuple(map(sum, zip(part, s))) for s in shifts]
+        order = [part, *lams] if part_first else [*lams, part]
+        for lam in order:
+            assert irrep_character(rs, sub, lam) == twisted_orbit_sums(name, lam), lam
+        assert list(chars) == parts[: k + 1]  # one key per part, however many twists
+    if not nodes:
+        assert all(irrep_character(rs, sub, (t,)) == {(t,): 1} for t in range(-3, 4))
+
+
+def test_twisted_character_is_a_private_copy():
+    rs = RootSystem(get_preset("D5"))
+    sub = Subsystem.levi(5, 5)
+    part = (1, 0, 0, 0, 0)
+    first = irrep_character(rs, sub, (1, 0, 0, 0, 3))
+    want = dict(first)
+    first[(1, 0, 0, 0, 3)] = 99
+    first[(9, 9, 9, 9, 9)] = 1
+    assert irrep_character(rs, sub, (1, 0, 0, 0, 3)) == want
+    assert irrep_character(rs, sub, part) == char_twist(want, 5, -3)
+    assert list(rs.sub_roots(sub).chars) == [part]
+
+
+def test_twisted_weight_past_the_bound_is_refused_before_freudenthal(monkeypatch):
+    def no_freudenthal(*args):
+        raise AssertionError("Freudenthal ran on an input over the support bound")
+
+    monkeypatch.setattr(characters, "_freudenthal", no_freudenthal)
+    monkeypatch.setattr(characters, "MAX_SUPPORT", 1000)
+    rs = RootSystem(get_preset("E6-paper"))
+    levi = Subsystem.levi(6, 1)
+    # the part (0, 1, 1, 0, 0, 1) has support 1376 on D5; its twists share it
+    for t in (-5, 4):
+        with pytest.raises(GuardrailExceeded):
+            irrep_character(rs, levi, (t, 1, 1, 0, 0, 1))
+    assert rs.sub_roots(levi).chars == {}
+
+
 # -- ring operations --------------------------------------------------------------
 
 
@@ -227,6 +303,35 @@ def test_char_mul_zero_multiplicity():
     # a zero in a factor contributes nothing; it must not raise KeyError
     assert char_mul({(0,): 0}, {(1,): 1}) == {}
     assert char_mul({(0,): 0, (1,): 2}, {(1,): 1}) == {(2,): 2}
+
+
+def naive_mul(a, b):
+    """Every product term summed, then the zero sums dropped, and how many there were."""
+    out = {}
+    for wa, ma in a.items():
+        for wb, mb in b.items():
+            w = tuple(x + y for x, y in zip(wa, wb))
+            out[w] = out.get(w, 0) + ma * mb
+    return {w: m for w, m in out.items() if m}, sum(not m for m in out.values())
+
+
+def test_char_mul_matches_naive_product_on_virtual_characters():
+    # signed multiplicities on a small box, zero entries included, so many sums
+    # cancel; (1 - e^v)(1 + e^v) = 1 - e^2v cancels at v in every trial
+    rng = random.Random(12)
+    cancelled = 0
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        box = partial(rng.randint, -2, 2)
+        a, b = ({tuple(box() for _ in range(rank)): rng.choice([-3, -1, 0, 1, 2]) for _ in range(6)} for _ in range(2))
+        v = tuple(box() or 1 for _ in range(rank))
+        zero = (0,) * rank
+        for x, y in ((a, b), (b, a), ({zero: 1, v: -1}, {zero: 1, v: 1}), (a, {})):
+            want, zeros = naive_mul(x, y)
+            cancelled += zeros
+            got = char_mul(x, y)
+            assert got == want and 0 not in got.values(), (x, y)
+    assert cancelled > 100
 
 
 def test_char_twist_and_dual(e6, e6_levi):

@@ -24,6 +24,7 @@ from referencing import Registry, Resource
 
 import weylbott
 import weylbott.verify
+from weylbott.characters import orbit_size
 from weylbott.cli import build_parser, main
 from weylbott.presets import get_preset, preset_names, to_json
 
@@ -440,6 +441,34 @@ def test_kuznetsov_gr25(capsys, tmp_path):
     assert code == 0
     got = (report["verdict"], report["dim_x"], report["index"], report["size"], report["violations"])
     assert got == ("pass", 6, 5, 10, [])
+
+
+def test_kuznetsov_og510(capsys, tmp_path):
+    # Kuznetsov's rectangular Lefschetz collection (O, U*)(t), t = 0..7, on the spinor
+    # tenfold OG(5,10) = D5/P5 (dim 10, index 8), where U* = (1, 0, 0, 0, 0) has rank 5
+    # and c1 = 2; its 16 objects are as many as W/W_P has elements
+    path = CORPUS / "kuznetsov-og510.json"
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert obj["cartan"]["entries"] == [list(row) for row in get_preset("D5").entries]
+    for cmd, value in (("dim", 5), ("c1", 2)):
+        assert run(capsys, cmd, "--preset", "D5", "--crossed", "5", "--weight=1,0,0,0,0") == (0, f"{value}\n", "")
+    rs = weylbott.RootSystem(get_preset("D5"))
+    assert orbit_size(rs, rs.full, (0, 0, 0, 0, 1)) == 16
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 0
+    got = (report["verdict"], report["dim_x"], report["index"], report["size"], report["violations"])
+    assert got == ("pass", 10, 8, 16, [])
+    # the diagram automorphism of D5 swaps nodes 4 and 5 and fixes the matrix:
+    # the same shape passes on D5/P4
+    obj["crossed"] = 4
+    obj["bundles"] = [{"weight": b["weight"][:3] + b["weight"][:2:-1]} for b in obj["bundles"]]
+    assert obj["bundles"][3] == {"weight": [1, 0, 0, 1, 0]}
+    moved = tmp_path / "og510-p4.json"
+    moved.write_text(json.dumps(obj))
+    code, report = run_json(capsys, "verify", str(moved))
+    assert code == 0
+    got = (report["verdict"], report["dim_x"], report["index"], report["size"], report["violations"])
+    assert got == ("pass", 10, 8, 16, [])
 
 
 def transposed(name):
