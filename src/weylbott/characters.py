@@ -45,17 +45,6 @@ def weyl_dim(rs: RootSystem, sub: Subsystem, lam: Weight) -> int:
     return q
 
 
-def weyl_orbit(rs: RootSystem, sub: Subsystem, lam: Weight) -> list[Weight]:
-    """The sub-Weyl orbit of lam, sorted, built from its dominant conjugate by length."""
-    _, top = rs.make_dominant(sub, rs.check_rank(lam))
-    orbit: list[Weight] = []
-    for layer in rs.orbit_layers(sub, top):
-        orbit += layer
-        _guard(min(len(orbit), MAX_SUPPORT + 1))  # counts up to the first weight past the bound
-    orbit.sort()
-    return orbit
-
-
 def orbit_size(rs: RootSystem, sub: Subsystem, nu: Weight) -> int:
     """|W_sub . nu| for a sub-dominant nu. |W| is the product of (h + 1) / h over the
     positive coroots a^vee of height h = <rho, a^vee>, and the stabilizer of nu is the
@@ -161,12 +150,6 @@ def char_add(a: Character, b: Character) -> Character:
         else:
             out.pop(w, None)
     return out
-
-
-def char_scale(a: Character, k: int) -> Character:
-    if k == 0:
-        return {}
-    return {w: m * k for w, m in a.items()}
 
 
 def char_mul(a: Character, b: Character) -> Character:

@@ -99,16 +99,9 @@ def read_json(path: str):
 
 
 def to_json(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) byte for byte, for str keys, but a list or dict met
-    twice is laid out once per depth and its text reused; ids key them, as obj keeps each alive."""
-    seen, shared, todo, memo = set(), set(), [obj], {}
-    for x in todo:
-        if type(x) is not int and isinstance(x, (dict, list, tuple)) and x:
-            if id(x) not in seen:
-                todo.extend(x.values() if isinstance(x, dict) else x)
-            (shared if id(x) in seen else seen).add(id(x))
+    """json.dumps(obj, sort_keys=True, indent=2) byte for byte, for str keys."""
 
-    def write(x, pad: str, out: list[str], reuse: bool = True) -> list[str]:
+    def write(x, pad: str, out: list[str]) -> list[str]:
         inner = pad + "  "
         if not isinstance(x, (dict, list, tuple)) or not x:
             out.append(
@@ -118,10 +111,6 @@ def to_json(obj) -> str:
                 else "{}" if isinstance(x, dict) else "[]" if isinstance(x, (list, tuple))  # empty here
                 else json.dumps(x)
             )
-        elif reuse and id(x) in shared:
-            if (id(x), pad) not in memo:
-                memo[id(x), pad] = "".join(write(x, pad, [], False))  # laid out this once
-            out.append(memo[id(x), pad])
         elif isinstance(x, dict):
             for i, k in enumerate(sorted(x)):
                 out.append(("," if i else "{") + inner + _encode_str(k) + ": ")

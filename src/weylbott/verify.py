@@ -262,42 +262,76 @@ def ext_table_to_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:
     return _table_obj(setup.rs, table, {})
 
 
-def report_to_obj(report: VerificationReport) -> dict:
-    """The canonical certificate; it never carries the elapsed time.
-
-    Pairs of one twist class share a table object, and equal degree entries
-    of the distinct tables share an entry object, each converted once here;
-    to_json lays out each shared object once."""
+def _header(report: VerificationReport) -> dict:
+    """The certificate's fields other than "tables"."""
     coll = report.collection
-    n = len(coll.bundles)
-    distinct = {id(t): t for t in report.tables}
-    entries: dict = {}
-    converted = {k: _table_obj(coll.setup.rs, t, entries) for k, t in distinct.items()}
     return {
         "collection": collection_to_obj(coll),
         "dim_x": coll.setup.dim_x,
         "index": coll.setup.index,
-        "size": n,
+        "size": len(coll.bundles),
         "pairs_checked": report.pairs_checked,
         "verdict": report.verdict,
         "violations": [
             {"pair": list(v.pair), "degree": v.degree, "dim": v.dim, "rule": v.rule}
             for v in report.violations
         ],
+    }
+
+
+def _converted_tables(report: VerificationReport) -> tuple[dict, dict]:
+    """Each distinct table of report, keyed by id (the pairs of one twist class share
+    one), converted once; and the entries memo, whose values are the distinct entries."""
+    rs = report.collection.setup.rs
+    distinct = {id(t): t for t in report.tables}
+    entries: dict = {}
+    return {k: _table_obj(rs, t, entries) for k, t in distinct.items()}, entries
+
+
+def report_to_obj(report: VerificationReport) -> dict:
+    """The canonical certificate; it never carries the elapsed time.
+
+    Pairs of one twist class share a table object, and equal degree entries
+    of the distinct tables share an entry object, each converted once here."""
+    n = len(report.collection.bundles)
+    converted, _ = _converted_tables(report)
+    return {
+        **_header(report),
         "tables": [
-            {
-                "pair": [i + 1, j + 1],
-                "table": converted[id(report.table_for(i + 1, j + 1))],
-            }
-            for i in range(n)
-            for j in range(n)
+            {"pair": [k // n + 1, k % n + 1], "table": converted[id(t)]}
+            for k, t in enumerate(report.tables)
         ],
     }
 
 
+# One pair's wrapper in the certificate, up to its table, which opens at depth 6.
+_PAIR = ',\n    {\n      "pair": [\n        %d,\n        %d\n      ],\n      "table": '
+
+
 def report_to_json(report: VerificationReport) -> str:
-    """The certificate text: to_json lays out each shared table and entry once."""
-    return to_json(report_to_obj(report))
+    """The certificate text, to_json(report_to_obj(report)) byte for byte, written
+    from the report: to_json lays out each distinct degree entry once, each distinct
+    table is joined once from those texts, each pair's wrapper is _PAIR filled in,
+    and every piece goes to one list, joined once."""
+    n = len(report.collection.bundles)
+    converted, entries = _converted_tables(report)
+    # to_json escapes every newline inside a string, so indenting each line of an
+    # entry's text by 8 puts the entry at its depth in the certificate
+    pad = "\n        "
+    laid = {id(e): to_json(e).replace("\n", pad) for e in entries.values()}
+    tables = {  # each text also closes its pair's wrapper
+        k: ("[" + pad + ("," + pad).join(laid[id(e)] for e in table) + "\n      ]" if table else "[]") + "\n    }"
+        for k, table in converted.items()
+    }
+    head = _header(report)
+    before = to_json({k: v for k, v in head.items() if k < "tables"})
+    after = to_json({k: v for k, v in head.items() if k > "tables"})
+    out = [before[:-2], ',\n  "tables": [']  # before, less its closing "\n}"
+    for k, t in enumerate(report.tables):
+        out += (_PAIR % (k // n + 1, k % n + 1), tables[id(t)])
+    out[2] = out[2][1:]  # no comma before the first pair
+    out += ("\n  ],", after[1:])  # after, less its opening "{"
+    return "".join(out)
 
 
 def render_report_text(report: VerificationReport) -> str:

@@ -27,7 +27,7 @@ from heapq import heapify, heappop, heappush
 from math import prod
 
 from weylbott.bbw import ExtTable, ext_table
-from weylbott.characters import char_add, char_dual, char_mul, char_scale, irrep_character
+from weylbott.characters import char_add, char_dual, char_mul, irrep_character
 from weylbott.errors import NotDecomposable
 from weylbott.lie_core import RootSystem, Subsystem, Weight
 from weylbott.parabolic import ParabolicSetup, bundle_rank, levi_tensor
@@ -133,6 +133,10 @@ def strip_full_support(
         out.append((mu, m))
     out.sort(key=lambda t: rs.sort_key(t[0]))
     return out
+
+
+def char_scale(a: dict[Weight, int], k: int) -> dict[Weight, int]:
+    return {w: m * k for w, m in a.items()} if k else {}
 
 
 def from_components(

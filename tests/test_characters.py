@@ -16,19 +16,18 @@ from weylbott.characters import (
     char_dim,
     char_dual,
     char_mul,
-    char_scale,
     char_twist,
     decompose,
     irrep_character,
     orbit_size,
     power_op,
     weyl_dim,
-    weyl_orbit,
 )
 from weylbott.errors import GuardrailExceeded, NotDecomposable, NotDominant
 from weylbott.parabolic import bundle_rank, levi_tensor, make_setup
 
 from oracles import (
+    char_scale,
     char_sub,
     from_components,
     newton_power,
@@ -36,6 +35,7 @@ from oracles import (
     random_l_dominant,
     strip_full_support,
 )
+from test_lie_core import weyl_orbit
 
 W = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 ZERO6 = (0,) * 6
@@ -183,14 +183,6 @@ def test_weyl_orbit_sizes(e6, e6_full, e6_levi):
     assert len(weyl_orbit(e6, e6_full, W[5])) == 27  # minuscule: one orbit
     assert len(weyl_orbit(e6, e6_levi, W[5])) == 10
     assert weyl_orbit(e6, e6_full, ZERO6) == [ZERO6]
-
-
-def test_orbit_guard_names_the_first_weight_past_the_bound(monkeypatch):
-    # the orbit grows a layer at a time, but the error still counts one weight past the bound
-    monkeypatch.setattr(characters, "MAX_SUPPORT", 27)
-    assert len(weyl_orbit(RootSystem(get_preset("E6-paper")), Subsystem.full(6), W[5])) == 27
-    with pytest.raises(GuardrailExceeded, match=r"^character support 28 exceeds bound 27$"):
-        weyl_orbit(RootSystem(get_preset("E6-paper")), Subsystem.full(6), (1,) * 6)
 
 
 def test_cache_toggle():
@@ -581,7 +573,7 @@ def test_decompose_expands_no_orbit(e6, e6_full, e6_levi, monkeypatch):
     def refuse(*args):
         raise AssertionError("decompose expanded a Weyl orbit or ran Freudenthal")
 
-    for name in ("weyl_orbit", "irrep_character", "_dominant_weights", "_freudenthal"):
+    for name in ("irrep_character", "_dominant_weights", "_freudenthal"):
         monkeypatch.setattr(characters, name, refuse)
     assert decompose(e6, e6_levi, ch) == expected
 

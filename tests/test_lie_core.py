@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import chain
 
 import pytest
 
@@ -12,7 +13,6 @@ from weylbott.characters import (
     irrep_character,
     orbit_size,
     weyl_dim,
-    weyl_orbit,
 )
 from weylbott.errors import NotDominant, NotFiniteType
 from weylbott.presets import cartan_from_obj, cartan_to_obj
@@ -25,6 +25,13 @@ from oracles import (
     strip_full_support,
     weyl_dim_product,
 )
+
+
+def weyl_orbit(rs: RootSystem, sub: Subsystem, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The sub-Weyl orbit of lam, sorted: the layers of its dominant conjugate."""
+    _, top = rs.make_dominant(sub, lam)
+    return sorted(chain.from_iterable(rs.orbit_layers(sub, top)))
+
 
 W1, W2, W3, W4, W5, W6 = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 ZERO6 = (0,) * 6

@@ -296,12 +296,16 @@ def untwisted_classes(coll: Collection) -> int:
     return len({(twist(setup, a, -a[c]), twist(setup, b, -a[c])) for a in coll.bundles for b in coll.bundles})
 
 
-def naive_report(coll: Collection) -> VerificationReport:
-    """The report of the per-pair path: every table computed on its own."""
-    tables = per_pair_tables(coll)
+def checked_report(coll: Collection, tables: list[ExtTable]) -> VerificationReport:
+    """The report of coll with these tables, row-major, and the violations they give."""
     n = len(coll.bundles)
     violations = [v for k, t in enumerate(tables) for v in _check_pair(k // n + 1, k % n + 1, t)]
     return VerificationReport(coll, tables, violations)
+
+
+def naive_report(coll: Collection) -> VerificationReport:
+    """The report of the per-pair path: every table computed on its own."""
+    return checked_report(coll, per_pair_tables(coll))
 
 
 def plain_dump(report: VerificationReport) -> str:
@@ -510,27 +514,85 @@ def test_equal_degree_entries_are_converted_and_encoded_once(monkeypatch, name, 
     assert texts.count("degree") == distinct  # the key of each distinct entry, laid out once
 
 
-def _empty_table(obj: dict) -> None:
-    obj["tables"][1]["table"] = []
+def _one_table(real: VerificationReport) -> list[ExtTable]:
+    return [real.tables[1]] * len(real.tables)
 
 
-def _repeated_entry(obj: dict) -> None:
-    table = obj["tables"][1]["table"]
-    obj["tables"][1]["table"] = [table[0]] * len(table)
+def _equal_copies(real: VerificationReport) -> list[ExtTable]:
+    return [ExtTable(list(t.dims), [list(m) for m in t.weights]) for t in real.tables]
 
 
-@pytest.mark.parametrize("fault", [_empty_table, _repeated_entry], ids=["empty table", "repeated entry"])
-def test_shared_tables_are_laid_out_as_the_stock_encoder(monkeypatch, fault):
-    report = verify_strong_exceptional(builtin_collection("kapranovQ7"))
-    true_obj = verify.report_to_obj
+def _modules_differ(real: VerificationReport) -> list[ExtTable]:
+    # Hom(O(5), O(6)) is V(w1) in degree 0; its twin holds V(w4) there
+    # with the same dimension, so only the G-modules of that degree differ
+    table = real.tables[1]
+    assert table.weights[0] == [((1, 0, 0, 0), 1)]
+    twin = ExtTable(list(table.dims), [[((0, 0, 0, 1), 1)], *table.weights[1:]])
+    return [table if k % 3 else twin for k in range(len(real.tables))]
 
-    def patched(r):
-        obj = true_obj(r)
-        fault(obj)
-        return obj
 
-    monkeypatch.setattr(verify, "report_to_obj", patched)
-    assert report_to_json(report) == json.dumps(patched(report), sort_keys=True, indent=2)
+def _all_zero(real: VerificationReport) -> list[ExtTable]:
+    d = len(real.tables[0].dims)
+    return [ExtTable([0] * d, [[] for _ in range(d)])] * len(real.tables)
+
+
+def _no_entries(real: VerificationReport) -> list[ExtTable]:
+    d = len(real.tables[0].dims)
+    return [ExtTable([1] + [0] * (d - 1), [])] * len(real.tables)
+
+
+def _transposed(real: VerificationReport) -> list[ExtTable]:
+    n = len(real.collection.bundles)
+    return [real.table_for(j + 1, i + 1) for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [_one_table, _equal_copies, _modules_differ, _all_zero, _no_entries, _transposed],
+    ids=["one table", "equal copies", "modules differ", "all zero", "no entries", "transposed"],
+)
+def test_hand_built_report_is_laid_out_as_the_stock_encoder(tables):
+    # reports whose pairs share one table, hold equal copies, hold two tables
+    # alike but in one degree's G-modules, hold zero tables, hold tables with
+    # no entries (the writer's one branch on an empty list), or run backward;
+    # each is checked against the stock encoder, and each pair's table against
+    # its own conversion, which shares no entry with another table's
+    real = verify_strong_exceptional(builtin_collection("kapranovQ7"))
+    report = checked_report(real.collection, tables(real))
+    text = report_to_json(report)
+    assert text == plain_dump(report)
+    own = [ext_table_to_obj(real.collection.setup, t) for t in report.tables]
+    assert [e["table"] for e in json.loads(text)["tables"]] == own
+    assert report.verdict == ("pass" if tables is _equal_copies else "fail")
+
+
+def differential_collections() -> list[Collection]:
+    """Seeded twisted collections on each twist setup (seeds apart from CERTIFIED's),
+    cayley27's duals in its own order (the reverse of theirs, so it fails) and
+    reversed (so it passes), and every helix window of kapranovQ7."""
+    cayley = builtin_collection("cayley27")
+    duals = tuple(parabolic.bundle_dual(cayley.setup, w) for w in cayley.bundles)
+    q7 = builtin_collection("kapranovQ7")
+    helix = q7.bundles + tuple(twist(q7.setup, w, q7.setup.index) for w in q7.bundles)
+    n = len(q7.bundles)
+    return [
+        *(twisted_collection(p, c, seed) for p, c in TWIST_SETUPS for seed in (3, 4, 5)),
+        Collection("cayley27 duals", cayley.setup, duals),
+        Collection("cayley27 duals reversed", cayley.setup, duals[::-1]),
+        *(Collection(f"kapranovQ7 window {k}", q7.setup, helix[k:k + n]) for k in range(n + 1)),
+    ]
+
+
+def test_report_to_json_matches_the_stock_encoder_on_seeded_collections():
+    verdicts = set()
+    for coll in differential_collections():
+        report = verify_strong_exceptional(coll)
+        verdicts.add(report.verdict)
+        text = report_to_json(report)
+        same = text == plain_dump(report)  # a bool: a diff of megabyte strings is slow
+        assert same, coll.name
+        assert json.loads(text) == report_to_obj(report), coll.name
+    assert verdicts == {"pass", "fail"}
 
 
 @pytest.mark.parametrize("preset, crossed", TWIST_SETUPS)
