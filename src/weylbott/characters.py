@@ -241,7 +241,9 @@ def brauer_klimyk(rs: RootSystem, sub: Subsystem, c: Character, top: Weight) -> 
     singular.  The dimensions of the result must add up to dim c * dim V_top.
     """
     acc: Character = {}
-    for m, hit in zip(c.values(), rs.dotted_walks(sub, top, c)):
+    dotted = rs.dotted_to_dominant
+    for mu, m in c.items():
+        hit = dotted(sub, map(add, top, mu))  # read once, so no tuple is built per weight
         if hit is not None:
             count, w = hit
             n = acc.get(w, 0) + (-m if count & 1 else m)

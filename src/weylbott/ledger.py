@@ -114,25 +114,21 @@ class _Parser:
         return e
 
     def expr(self) -> Evaluator:
-        return self.sequence("+", self.term, char_add)
+        return self.sequence("+", self.term)
 
     def term(self) -> Evaluator:
-        return self.sequence("*", self.atom, char_mul)
+        return self.sequence("*", self.atom)
 
-    def sequence(
-        self,
-        op: str,
-        item: Callable[[], Evaluator],
-        combine: Callable[[Character, Character], Character],
-    ) -> Evaluator:
-        """item (op item)*: one item as it is, more folded through combine."""
+    def sequence(self, op: str, item: Callable[[], Evaluator]) -> Evaluator:
+        """item (op item)*: one item as it is, more folded through char_add for + or
+        char_mul for *, each read from this module's globals when the evaluator runs."""
         items = [item()]
         while self.peek()[1] == op:
             self.next()
             items.append(item())
         if len(items) == 1:
             return items[0]
-        return lambda setup: reduce(combine, (e(setup) for e in items))
+        return lambda setup: reduce(char_add if op == "+" else char_mul, (e(setup) for e in items))
 
     def atom(self) -> Evaluator:
         e = self.primary()

@@ -291,31 +291,21 @@ class RootSystem:
         count = self._walk(sub.index, cur)
         return count, tuple(cur)
 
-    def dotted_walks(self, sub: Subsystem, base: Weight, deltas: Iterable[Weight]) -> Iterator[Optional[tuple[int, Weight]]]:
-        """dotted_to_dominant(sub, base + d) for each d of deltas, in order.
-
-        base is shifted by rho once; each walk is one list, walked in place,
-        and only a regular result becomes a tuple."""
-        index = sub.index
-        walk = self._walk
-        shifted = [x + 1 for x in base]
-        for d in deltas:
-            cur = list(map(operator.add, shifted, d))
-            count = walk(index, cur)
-            for i in index:
-                if not cur[i]:
-                    yield None
-                    break
-            else:
-                yield count, tuple([x - 1 for x in cur])
-
-    def dotted_to_dominant(self, sub: Subsystem, lam: Weight) -> Optional[tuple[int, Weight]]:
+    def dotted_to_dominant(self, sub: Subsystem, lam: Iterable[int]) -> Optional[tuple[int, Weight]]:
         """Dotted action w . lam = w(lam + rho) - rho driven to dominance.
 
         Returns None when lam + rho is singular for the subsystem (some
         coordinate at a sub node vanishes), else (length, dominant weight).
+        lam is read once, so a one-pass iterable such as a map will do: it is
+        shifted by rho into one list, walked in place and shifted back.
         """
-        return next(self.dotted_walks(sub, lam, ((0,) * self.rank,)))
+        index = sub.index
+        cur = [x + 1 for x in lam]
+        count = self._walk(index, cur)
+        for i in index:
+            if not cur[i]:
+                return None
+        return count, tuple([x - 1 for x in cur])
 
     def orbit_layers(self, sub: Subsystem, top: Weight) -> Iterator[set[Weight]]:
         """The sub-Weyl orbit of a sub-dominant top, one length at a time.

@@ -97,10 +97,10 @@ def verify_strong_exceptional(coll: Collection) -> VerificationReport:
     their crossed coordinates.  Each ordered pair is keyed by that unordered
     pair of untwisted factors and that sum; levi_tensor runs once per
     unordered pair, cohomology_table once per key on the product so
-    shifted, and every pair of a key shares one (frozen) table.  The report
-    keeps the collection and so its root system; its memo, which holds the
-    characters the run computed, is emptied on return, so that a kept report
-    does not also keep them.
+    shifted, and every pair of a key shares one table (shared; do not mutate
+    its lists).  The report keeps the collection and so its root system; its
+    memo, which holds the characters the run computed, is emptied on return,
+    so that a kept report does not also keep them.
 
     A collection whose certificate would pass MAX_DEGREE_ENTRIES is refused
     before any pair is computed.
@@ -279,26 +279,16 @@ def _header(report: VerificationReport) -> dict:
     }
 
 
-def _converted_tables(report: VerificationReport) -> tuple[dict, dict]:
-    """Each distinct table of report, keyed by id (the pairs of one twist class share
-    one), converted once; and the entries memo, whose values are the distinct entries."""
-    rs = report.collection.setup.rs
-    distinct = {id(t): t for t in report.tables}
-    entries: dict = {}
-    return {k: _table_obj(rs, t, entries) for k, t in distinct.items()}, entries
-
-
 def report_to_obj(report: VerificationReport) -> dict:
-    """The canonical certificate; it never carries the elapsed time.
-
-    Pairs of one twist class share a table object, and equal degree entries
-    of the distinct tables share an entry object, each converted once here."""
+    """The canonical certificate, and the plain reference for report_to_json: each
+    pair's table is converted on its own by ext_table_to_obj, so no table or entry
+    object is shared between pairs.  It never carries the elapsed time."""
+    setup = report.collection.setup
     n = len(report.collection.bundles)
-    converted, _ = _converted_tables(report)
     return {
         **_header(report),
         "tables": [
-            {"pair": [k // n + 1, k % n + 1], "table": converted[id(t)]}
+            {"pair": [k // n + 1, k % n + 1], "table": ext_table_to_obj(setup, t)}
             for k, t in enumerate(report.tables)
         ],
     }
@@ -310,11 +300,16 @@ _PAIR = ',\n    {\n      "pair": [\n        %d,\n        %d\n      ],\n      "ta
 
 def report_to_json(report: VerificationReport) -> str:
     """The certificate text, to_json(report_to_obj(report)) byte for byte, written
-    from the report: to_json lays out each distinct degree entry once, each distinct
-    table is joined once from those texts, each pair's wrapper is _PAIR filled in,
-    and every piece goes to one list, joined once."""
+    from the report with all the sharing the reference leaves out: each distinct
+    table (the pairs of one twist class share one, keyed by id) is converted once,
+    through one entries memo; to_json lays out each distinct degree entry once; each
+    distinct table is joined once from those texts, each pair's wrapper is _PAIR
+    filled in, and every piece goes to one list, joined once."""
+    rs = report.collection.setup.rs
     n = len(report.collection.bundles)
-    converted, entries = _converted_tables(report)
+    distinct = {id(t): t for t in report.tables}
+    entries: dict = {}
+    converted = {k: _table_obj(rs, t, entries) for k, t in distinct.items()}
     # to_json escapes every newline inside a string, so indenting each line of an
     # entry's text by 8 puts the entry at its depth in the certificate
     pad = "\n        "
@@ -323,14 +318,13 @@ def report_to_json(report: VerificationReport) -> str:
         k: ("[" + pad + ("," + pad).join(laid[id(e)] for e in table) + "\n      ]" if table else "[]") + "\n    }"
         for k, table in converted.items()
     }
-    head = _header(report)
-    before = to_json({k: v for k, v in head.items() if k < "tables"})
-    after = to_json({k: v for k, v in head.items() if k > "tables"})
-    out = [before[:-2], ',\n  "tables": [']  # before, less its closing "\n}"
+    # the header around "tables", which no string can fake: each newline in one is escaped
+    before, _, after = to_json({**_header(report), "tables": None}).partition('\n  "tables": null')
+    out = [before, '\n  "tables": [']
     for k, t in enumerate(report.tables):
         out += (_PAIR % (k // n + 1, k % n + 1), tables[id(t)])
     out[2] = out[2][1:]  # no comma before the first pair
-    out += ("\n  ],", after[1:])  # after, less its opening "{"
+    out += ("\n  ]", after)
     return "".join(out)
 
 

@@ -580,9 +580,9 @@ def test_decompose_expands_no_orbit(e6, e6_full, e6_levi, monkeypatch):
 
 def test_oracles_do_not_import_decompose():
     # neither decompose nor the Brauer-Klimyk sum it shares with levi_tensor,
-    # nor the Weyl-group kernels under them: the in-place walk, the batched
-    # dotted walk, the coroot chain and the layered orbit
-    engine = {"decompose", "brauer_klimyk", "_walk", "dotted_walks", "sub_roots", "chain_pairings", "orbit_layers"}
+    # nor the Weyl-group kernels under them: the in-place walk, the dotted
+    # walk it takes per weight, the coroot chain and the layered orbit
+    engine = {"decompose", "brauer_klimyk", "_walk", "dotted_to_dominant", "sub_roots", "chain_pairings", "orbit_layers"}
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylbott"):

@@ -182,6 +182,18 @@ def test_eval_sum_and_tensor(cayley):
     assert sum(c.values()) == 20
 
 
+def test_sum_and_product_run_through_the_module_functions_at_evaluation(cayley, monkeypatch):
+    # a wrapper installed after parsing must see every + and * the expression evaluates
+    expr = parse_expr("E[0,0,0,0,0,1] * E[0,0,0,0,0,1] + O")
+    plain = eval_expr(cayley, expr)
+    calls = []
+    for name in ("char_mul", "char_add"):
+        fn = getattr(ledger, name)
+        monkeypatch.setattr(ledger, name, lambda a, b, name=name, fn=fn: calls.append(name) or fn(a, b))
+    assert eval_expr(cayley, expr) == plain
+    assert sorted(calls) == ["char_add", "char_mul"]
+
+
 # -- identity checking ----------------------------------------------------------
 
 
