@@ -240,6 +240,7 @@ def brauer_klimyk(rs: RootSystem, sub: Subsystem, c: Character, top: Weight) -> 
     conjugate of top + mu, of length l, or nothing when top + mu + rho is
     singular.  The dimensions of the result must add up to dim c * dim V_top.
     """
+    top = rs.require_dominant(sub, top)  # before any walk, which would index past a short top
     acc: Character = {}
     dotted = rs.dotted_to_dominant
     for mu, m in c.items():

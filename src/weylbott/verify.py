@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .bbw import ExtTable, cohomology_table
 from .characters import orbit_size
@@ -240,26 +240,14 @@ def g_module_obj(rs: RootSystem, w: Weight) -> dict:
     return {"weight": list(w), "dual": list(rs.dual_dominant(rs.full, w))}
 
 
-def _table_obj(rs: RootSystem, table: ExtTable, entries: dict) -> list[dict]:
-    """One entry per degree 0..dim X, in the shape of ext-table.json.  Equal
-    entries, keyed in entries by (degree, dim, modules), are one object."""
-    out = []
-    for key in zip(range(len(table.dims)), table.dims, map(tuple, table.weights)):
-        entry = entries.get(key)
-        if entry is None:
-            k, dim, modules = key
-            entry = entries[key] = {
-                "degree": k,
-                "dim": dim,
-                "weights": [{**g_module_obj(rs, w), "mult": m} for w, m in modules],
-            }
-        out.append(entry)
-    return out
+def _entry_obj(rs: RootSystem, degree: int, dim: int, modules: Iterable[tuple[Weight, int]]) -> dict:
+    """One degree's entry of an Ext table, in the shape of ext-table.json."""
+    return {"degree": degree, "dim": dim, "weights": [{**g_module_obj(rs, w), "mult": m} for w, m in modules]}
 
 
 def ext_table_to_obj(setup: ParabolicSetup, table: ExtTable) -> list[dict]:
-    """One entry per degree 0..dim X, in the shape of ext-table.json."""
-    return _table_obj(setup.rs, table, {})
+    """One entry per degree 0..dim X, in the shape of ext-table.json; no memo, no sharing."""
+    return [_entry_obj(setup.rs, k, dim, m) for k, (dim, m) in enumerate(zip(table.dims, table.weights))]
 
 
 def _header(report: VerificationReport) -> dict:
@@ -300,29 +288,31 @@ _PAIR = ',\n    {\n      "pair": [\n        %d,\n        %d\n      ],\n      "ta
 
 def report_to_json(report: VerificationReport) -> str:
     """The certificate text, to_json(report_to_obj(report)) byte for byte, written
-    from the report with all the sharing the reference leaves out: each distinct
-    table (the pairs of one twist class share one, keyed by id) is converted once,
-    through one entries memo; to_json lays out each distinct degree entry once; each
-    distinct table is joined once from those texts, each pair's wrapper is _PAIR
-    filled in, and every piece goes to one list, joined once."""
+    from the report in one loop with two memos of text: each distinct degree entry,
+    keyed by (degree, dim, modules), is laid out by to_json once, and each distinct
+    table (a twist class's pairs share one, keyed by id) is joined once from those
+    texts.  Each pair's wrapper is _PAIR filled in; every piece goes to one list."""
     rs = report.collection.setup.rs
     n = len(report.collection.bundles)
-    distinct = {id(t): t for t in report.tables}
-    entries: dict = {}
-    converted = {k: _table_obj(rs, t, entries) for k, t in distinct.items()}
     # to_json escapes every newline inside a string, so indenting each line of an
     # entry's text by 8 puts the entry at its depth in the certificate
     pad = "\n        "
-    laid = {id(e): to_json(e).replace("\n", pad) for e in entries.values()}
-    tables = {  # each text also closes its pair's wrapper
-        k: ("[" + pad + ("," + pad).join(laid[id(e)] for e in table) + "\n      ]" if table else "[]") + "\n    }"
-        for k, table in converted.items()
-    }
+    entries: dict = {}  # (degree, dim, modules) -> the entry's text
+    tables: dict = {}  # id(table) -> its text, which also closes its pair's wrapper
     # the header around "tables", which no string can fake: each newline in one is escaped
     before, _, after = to_json({**_header(report), "tables": None}).partition('\n  "tables": null')
     out = [before, '\n  "tables": [']
     for k, t in enumerate(report.tables):
-        out += (_PAIR % (k // n + 1, k % n + 1), tables[id(t)])
+        text = tables.get(id(t))
+        if text is None:
+            laid = []
+            for key in zip(range(len(t.dims)), t.dims, map(tuple, t.weights)):
+                entry = entries.get(key)
+                if entry is None:
+                    entry = entries[key] = to_json(_entry_obj(rs, *key)).replace("\n", pad)
+                laid.append(entry)
+            text = tables[id(t)] = ("[" + pad + ("," + pad).join(laid) + "\n      ]" if laid else "[]") + "\n    }"
+        out += (_PAIR % (k // n + 1, k % n + 1), text)
     out[2] = out[2][1:]  # no comma before the first pair
     out += ("\n  ]", after)
     return "".join(out)

@@ -377,6 +377,22 @@ def test_guardrail_fires_before_freudenthal(monkeypatch):
     assert [sr.chars for sr in rs.memo.values()] == [{}]
 
 
+@pytest.mark.parametrize(
+    "top",
+    [(0,) * 5, (0,) * 7, (0.5, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0)],
+    ids=["one short", "one long", "non-integer", "non-dominant"],
+)
+def test_brauer_klimyk_refuses_a_bad_top_before_any_walk(top):
+    rs = RootSystem(get_preset("E6-paper"))
+    c = irrep_character(rs, rs.full, W[0])
+    walks = []
+    walk = rs.dotted_to_dominant
+    rs.dotted_to_dominant = lambda sub, lam: walks.append(lam) or walk(sub, lam)
+    with pytest.raises((ValueError, NotDominant)):
+        characters.brauer_klimyk(rs, rs.full, c, top)
+    assert walks == []
+
+
 # -- plethysms ----------------------------------------------------------------------
 
 
