@@ -16,7 +16,7 @@ from .characters import char_dim, irrep_character, weight_mults_obj, weyl_dim
 from .errors import EngineError
 from .lie_core import RootSystem, Subsystem, Weight
 from .parabolic import ParabolicSetup, branch, bundle_c1, levi_tensor, make_setup
-from .presets import PRESETS, get_preset, load_cartan, preset_names, to_json
+from .presets import PRESETS, cartan_from_obj, get_preset, preset_names, read_json, to_json
 # bbw, verify and ledger load inside the subcommands that use them, so start-up stays small
 
 USAGE_ERROR = 2
@@ -40,7 +40,7 @@ def _names_file(name: str, builtins) -> bool:
 
 def _root_system(args) -> RootSystem:
     name = args.preset
-    return RootSystem(load_cartan(name) if _names_file(name, PRESETS) else get_preset(name))
+    return RootSystem(cartan_from_obj(read_json(name)) if _names_file(name, PRESETS) else get_preset(name))
 
 
 def _subsystem(args) -> tuple[RootSystem, Subsystem]:
@@ -141,7 +141,7 @@ def _cmd_verify(args) -> int:
 
     target = args.target
     if _names_file(target, verify.BUILTIN_COLLECTIONS):
-        coll = verify.load_collection(target)
+        coll = verify.collection_from_obj(read_json(target))
     else:
         coll = verify.builtin_collection(target)
     report = verify.verify_strong_exceptional(coll)
@@ -153,7 +153,7 @@ def _cmd_ledger(args) -> int:
     from . import ledger
 
     setup = _setup(args)
-    identities = ledger.load_ledger(args.ledger_file) if args.ledger_file else ledger.builtin_ledger()
+    identities = ledger.identities_from_obj(read_json(args.ledger_file)) if args.ledger_file else ledger.builtin_ledger()
     results = ledger.check_ledger(setup, identities)
     obj = ledger.ledger_report_obj(results)
     _emit(args, obj, ledger.render_ledger_text(results))

@@ -45,7 +45,7 @@ from .characters import (
 from .errors import ParseError
 from .lie_core import Weight
 from .parabolic import ParabolicSetup, bundle_char
-from .presets import read_json, require_keys
+from .presets import require_keys
 
 GRADED_NOTE = (
     "identities are checked at character (Grothendieck-group) level; "
@@ -188,7 +188,7 @@ class _Parser:
             return lambda setup: bundle_char(setup, w)
         if val == "V":
             w = self.weight_list()
-            return lambda setup: irrep_character(setup.rs, setup.rs.full, setup.rs.check_rank(w))
+            return lambda setup: irrep_character(setup.rs, setup.rs.full, w)
         if val == "O":
             return _triv
         if val == "dual":
@@ -391,10 +391,6 @@ def identities_from_obj(data: list) -> list[Identity]:
             raise ValueError(f"terms of {name!r} must be a list of strings, got {terms!r}")
         out.append(Identity(name, kind, tuple(terms)))
     return out
-
-
-def load_ledger(path: str) -> list[Identity]:
-    return identities_from_obj(read_json(path))
 
 
 def identity_to_obj(ident: Identity) -> dict:

@@ -28,6 +28,7 @@ class ParabolicSetup(NamedTuple):
 
 
 def make_setup(rs: RootSystem, crossed: int) -> ParabolicSetup:
+    crossed = require_int(crossed, "crossed node")
     levi = Subsystem.levi(rs.rank, crossed)
     nilradical = [r for r in rs.positive_roots if r.simple_coords[crossed - 1] > 0]
     dim_x = len(nilradical)
@@ -55,10 +56,6 @@ def twist(setup: ParabolicSetup, w: Weight, t: int) -> Weight:
     w = setup.rs.check_rank(w)
     i = setup.crossed - 1
     return w[:i] + (w[i] + require_int(t, "a twist"),) + w[i + 1:]
-
-
-def line_bundle(setup: ParabolicSetup, t: int) -> Weight:
-    return twist(setup, (0,) * setup.rs.rank, t)
 
 
 def bundle_c1(setup: ParabolicSetup, w: Weight) -> int:
@@ -90,5 +87,4 @@ def branch(setup: ParabolicSetup, lam: Weight) -> GradedBundle:
     irreducibles changes, which is exactly a decomposition over the Levi.
     """
     rs = setup.rs
-    ch = irrep_character(rs, rs.full, rs.require_dominant(rs.full, lam))
-    return decompose(rs, setup.levi, ch)
+    return decompose(rs, setup.levi, irrep_character(rs, rs.full, lam))

@@ -127,9 +127,5 @@ def to_json(obj) -> str:
     return "".join(write(obj, "\n", []))
 
 
-def load_cartan(path: str) -> CartanMatrix:
-    return cartan_from_obj(read_json(path))
-
-
 def cartan_to_obj(cartan: CartanMatrix) -> dict:
     return {"rank": cartan.rank, "entries": [list(row) for row in cartan.entries]}

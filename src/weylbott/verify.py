@@ -9,6 +9,7 @@ deterministic report.
 
 from __future__ import annotations
 
+import json
 import time
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
@@ -16,9 +17,9 @@ from typing import Iterable, NamedTuple, Optional
 from .bbw import ExtTable, cohomology_table
 from .characters import orbit_size
 from .errors import GuardrailExceeded
-from .lie_core import RootSystem, Weight
+from .lie_core import RootSystem, Weight, require_int
 from .parabolic import GradedBundle, ParabolicSetup, bundle_dual, check_bundle, levi_tensor, make_setup, twist
-from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, read_json, require_keys, to_json
+from .presets import as_int, as_int_list, cartan_from_obj, cartan_to_obj, get_preset, require_keys, to_json
 
 
 # Hard ceiling on the n^2 (dim X + 1) degree entries of a certificate. cayley27
@@ -39,12 +40,13 @@ class Collection:
         preset: Optional[str] = None,  # name used to rebuild the Cartan matrix
         blocks: Optional[tuple[int, ...]] = None,  # display grouping, e.g. by twist
     ) -> None:
+        bundles = tuple(check_bundle(setup, w) for w in bundles)
         if not bundles:
             raise ValueError("a collection needs at least one bundle")
-        for w in bundles:
-            check_bundle(setup, w)
-        if blocks is not None and (min(blocks, default=1) < 1 or sum(blocks) != len(bundles)):
-            raise ValueError("block sizes must be positive and sum to the collection size")
+        if blocks is not None:
+            blocks = tuple(require_int(b, "a block size") for b in blocks)
+            if min(blocks, default=1) < 1 or sum(blocks) != len(bundles):
+                raise ValueError("block sizes must be positive and sum to the collection size")
         self.name, self.setup, self.bundles = name, setup, bundles
         self.preset, self.blocks = preset, blocks
 
@@ -219,10 +221,6 @@ def collection_from_obj(obj: dict) -> Collection:
     return Collection(name, setup, weights, preset, blocks)
 
 
-def load_collection(path: str) -> Collection:
-    return collection_from_obj(read_json(path))
-
-
 def collection_to_obj(coll: Collection) -> dict:
     obj: dict = {"name": coll.name, "crossed": coll.setup.crossed}
     if coll.preset is not None:
@@ -268,18 +266,8 @@ def _header(report: VerificationReport) -> dict:
 
 
 def report_to_obj(report: VerificationReport) -> dict:
-    """The canonical certificate, and the plain reference for report_to_json: each
-    pair's table is converted on its own by ext_table_to_obj, so no table or entry
-    object is shared between pairs.  It never carries the elapsed time."""
-    setup = report.collection.setup
-    n = len(report.collection.bundles)
-    return {
-        **_header(report),
-        "tables": [
-            {"pair": [k // n + 1, k % n + 1], "table": ext_table_to_obj(setup, t)}
-            for k, t in enumerate(report.tables)
-        ],
-    }
+    """The certificate as a JSON object, read back from report_to_json's text."""
+    return json.loads(report_to_json(report))
 
 
 # One pair's wrapper in the certificate, up to its table, which opens at depth 6.
@@ -287,9 +275,9 @@ _PAIR = ',\n    {\n      "pair": [\n        %d,\n        %d\n      ],\n      "ta
 
 
 def report_to_json(report: VerificationReport) -> str:
-    """The certificate text, to_json(report_to_obj(report)) byte for byte, written
-    from the report in one loop with two memos of text: each distinct degree entry,
-    keyed by (degree, dim, modules), is laid out by to_json once, and each distinct
+    """The certificate text, byte for byte as json.dumps(sort_keys=True, indent=2) writes
+    it, built from the report in one loop with two memos of text: each distinct degree
+    entry, keyed by (degree, dim, modules), is laid out by to_json once, and each distinct
     table (a twist class's pairs share one, keyed by id) is joined once from those
     texts.  Each pair's wrapper is _PAIR filled in; every piece goes to one list."""
     rs = report.collection.setup.rs

@@ -25,7 +25,6 @@ from weylbott.parabolic import (
     bundle_dual,
     bundle_rank,
     levi_tensor,
-    line_bundle,
     twist,
 )
 from weylbott.verify import builtin_collection, verify_strong_exceptional
@@ -152,7 +151,7 @@ def test_criterion_5_intermediate_ext_vanishing(cayley, e6):
     c1_normal = weyl_dim(e6, Subsystem.full(6), W[5]) - cayley.index
     geometry = {
         "V27 = O(-1) + T(-1) + S": v27
-        == [(line_bundle(cayley, -1), 1), (TANGENT_M1, 1), (S, 1)],
+        == [(twist(cayley, ZERO6, -1), 1), (TANGENT_M1, 1), (S, 1)],
         "rank T(-1) = dim X": bundle_rank(cayley, TANGENT_M1) == cayley.dim_x,
         "c1 N(-1) = c1 S": c1_normal - bundle_rank(cayley, S)
         == bundle_c1(cayley, S)

@@ -17,14 +17,15 @@ from weylbott.ledger import (
     check_identity,
     check_ledger,
     eval_expr,
+    identities_from_obj,
     identity_to_obj,
     ledger_report_obj,
-    load_ledger,
     parse_expr,
     render_ledger_text,
 )
 from weylbott.lie_core import Subsystem
 from weylbott.parabolic import bundle_char
+from weylbott.presets import read_json
 
 from oracles import from_components
 
@@ -289,7 +290,7 @@ def test_ledger_json_round_trip(tmp_path):
     obj = builtin_ledger_obj()
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps(obj))
-    loaded = load_ledger(str(path))
+    loaded = identities_from_obj(read_json(str(path)))
     assert list(map(identity_to_obj, loaded)) == list(map(identity_to_obj, builtin_ledger()))
     assert [identity_to_obj(i)["name"] for i in loaded] == [x["name"] for x in obj]
 

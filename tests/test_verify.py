@@ -1,6 +1,7 @@
 """End-to-end strong-exceptionality verification and report serialization."""
 
 import json
+import math
 import random
 from functools import partial
 from pathlib import Path
@@ -11,12 +12,13 @@ import weylbott.characters as characters
 import weylbott.parabolic as parabolic
 import weylbott.presets as presets
 import weylbott.verify as verify
-from weylbott import RootSystem, get_preset
+from weylbott import CartanMatrix, RootSystem, get_preset
 from weylbott.bbw import ExtTable, ext_table
 from weylbott.characters import orbit_size
 from weylbott.errors import GuardrailExceeded
 from weylbott.ledger import builtin_ledger, check_ledger
-from weylbott.parabolic import bundle_rank, levi_tensor, line_bundle, make_setup, twist
+from weylbott.parabolic import bundle_rank, levi_tensor, make_setup, twist
+from weylbott.presets import read_json
 from weylbott.verify import (
     Collection,
     VerificationReport,
@@ -26,7 +28,6 @@ from weylbott.verify import (
     collection_from_obj,
     collection_to_obj,
     ext_table_to_obj,
-    load_collection,
     render_report_text,
     report_to_json,
     report_to_obj,
@@ -224,7 +225,7 @@ def test_size_guardrail_fires_before_any_pair(cayley, monkeypatch):
 
     monkeypatch.setattr(verify, "levi_tensor", no_pair)
     monkeypatch.setattr(verify, "cohomology_table", no_pair)
-    lines = [line_bundle(cayley, t) for t in range(243)]
+    lines = [twist(cayley, ZERO6, t) for t in range(243)]
     with pytest.raises(GuardrailExceeded, match="1003833 degree entries.* more than 27 objects"):
         verify_strong_exceptional(Collection("O(0..242)", cayley, tuple(lines)))
     with pytest.raises(PairComputed):
@@ -308,11 +309,35 @@ def naive_report(coll: Collection) -> VerificationReport:
     return checked_report(coll, per_pair_tables(coll))
 
 
+def plain_obj(report: VerificationReport) -> dict:
+    """The certificate object, built from the report and sharing nothing with the
+    writer: the header field by field, and each pair's table converted on its own
+    by ext_table_to_obj, so no table or entry object is shared between pairs."""
+    coll = report.collection
+    n = len(coll.bundles)
+    return {
+        "collection": collection_to_obj(coll),
+        "dim_x": coll.setup.dim_x,
+        "index": coll.setup.index,
+        "size": n,
+        "pairs_checked": len(report.tables),
+        "verdict": "fail" if report.violations else "pass",
+        "violations": [
+            {"pair": list(v.pair), "degree": v.degree, "dim": v.dim, "rule": v.rule}
+            for v in report.violations
+        ],
+        "tables": [
+            {"pair": [k // n + 1, k % n + 1], "table": ext_table_to_obj(coll.setup, t)}
+            for k, t in enumerate(report.tables)
+        ],
+    }
+
+
 def plain_dump(report: VerificationReport) -> str:
-    """The certificate as the stock encoder writes it from report_to_obj, every
-    table converted and written in full at every pair: the oracle for
-    report_to_json, which converts and lays out each shared table and entry once."""
-    return json.dumps(report_to_obj(report), sort_keys=True, indent=2)
+    """The certificate as the stock encoder writes it from plain_obj, every table
+    converted and written in full at every pair: the oracle for report_to_json,
+    which converts and lays out each shared table and entry once."""
+    return json.dumps(plain_obj(report), sort_keys=True, indent=2)
 
 
 def reversed_cayley27() -> Collection:
@@ -326,7 +351,7 @@ CERTIFIED = {
     "cayley27": partial(builtin_collection, "cayley27"),
     "kapranovQ7": partial(builtin_collection, "kapranovQ7"),
     "cayley27-reversed": reversed_cayley27,
-    **{path.stem: partial(load_collection, str(path)) for path in CORPUS},
+    **{path.stem: partial(collection_from_obj, read_json(str(path))) for path in CORPUS},
     **{
         f"{p}-P{c}-seed{seed}": partial(twisted_collection, p, c, seed)
         for p, c in TWIST_SETUPS
@@ -350,6 +375,43 @@ def test_certified_collection_is_numerically_full(name):
     coll = CERTIFIED[name]()
     assert verify_strong_exceptional(coll).verdict == "pass"
     assert len(coll.bundles) == k0_rank(coll.setup)
+
+
+def gr2_collection(n: int, blocks: list[int]) -> Collection:
+    """S^k U*(t) on Gr(2, n), that is A_{n-1} with node 2 crossed and weight
+    (k, t, 0, ..., 0): block t holds k = 0, ..., blocks[t] - 1."""
+    rank = n - 1
+    cartan = CartanMatrix([[2 if i == j else -(abs(i - j) == 1) for j in range(rank)] for i in range(rank)])
+    bundles = tuple((k, t) + (0,) * (rank - 2) for t, size in enumerate(blocks) for k in range(size))
+    return Collection(f"Gr(2,{n})", make_setup(RootSystem(cartan), 2), bundles, blocks=tuple(blocks))
+
+
+def kuznetsov_gr2_blocks(n: int) -> list[int]:
+    """Kuznetsov's Lefschetz shape on Gr(2, n), as recalled (Homological projective
+    duality for Grassmannians of lines): n odd, n blocks of (O, U*, ..., S^{(n-3)/2} U*);
+    n even, n/2 blocks of (O, ..., S^{n/2-1} U*), then n/2 blocks of one fewer.  The
+    test below confirms the count and strong exceptionality, not the attribution."""
+    if n % 2:
+        return [(n - 1) // 2] * n
+    return [n // 2] * (n // 2) + [n // 2 - 1] * (n // 2)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_kuznetsov_gr2n_is_full_and_strongly_exceptional(n):
+    coll = gr2_collection(n, kuznetsov_gr2_blocks(n))
+    assert verify_strong_exceptional(coll).verdict == "pass"
+    assert len(coll.bundles) == k0_rank(coll.setup) == math.comb(n, 2)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_gr2n_even_with_n_full_blocks_is_not_exceptional(n):
+    # the negative control: with n even, n blocks of (O, ..., S^{n/2-1} U*) are one
+    # object per block too many, and Ext^{n-2}(S^{n/2-1} U*(t + n/2), S^{n/2-1} U*(t))
+    # is one-dimensional, a backward morphism, for each t < n/2
+    h = n // 2
+    report = verify_strong_exceptional(gr2_collection(n, [h] * n))
+    last = [(t + 1) * h for t in range(n)]  # 1-based index of S^{h-1} U*(t)
+    assert report.violations == [Violation((last[t + h], last[t]), n - 2, 1, "backward morphism") for t in range(h)]
 
 
 def test_cayley27_less_a_bundle_passes_but_is_not_full():
@@ -497,7 +559,7 @@ def test_certificate_survives_any_name(cayley, name):
         report = verify_strong_exceptional(coll)
         text = report_to_json(report)
         assert text == plain_dump(report)
-        assert json.loads(text) == report_to_obj(report)
+        assert json.loads(text) == plain_obj(report)
         assert json.loads(text)["collection"]["name"] == name
 
 
@@ -505,7 +567,7 @@ def test_certificate_survives_any_name(cayley, name):
 def test_equal_degree_entries_are_converted_and_encoded_once(monkeypatch, name, entries, distinct):
     # the reference shares nothing: every row of every pair is its own object
     report = verify_strong_exceptional(builtin_collection(name))
-    rows = [entry for pair in report_to_obj(report)["tables"] for entry in pair["table"]]
+    rows = [entry for pair in plain_obj(report)["tables"] for entry in pair["table"]]
     assert (len(rows), len({id(entry) for entry in rows})) == (entries, entries)
     encode = presets._encode_str
     texts = []
@@ -591,7 +653,7 @@ def test_report_to_json_matches_the_stock_encoder_on_seeded_collections():
         text = report_to_json(report)
         same = text == plain_dump(report)  # a bool: a diff of megabyte strings is slow
         assert same, coll.name
-        assert json.loads(text) == report_to_obj(report), coll.name
+        assert json.loads(text) == plain_obj(report), coll.name
     assert verdicts == {"pass", "fail"}
 
 
@@ -659,6 +721,7 @@ def test_timing_excluded_by_default():
     coll = builtin_collection("kapranovQ7")
     report = verify_strong_exceptional(coll)
     obj = report_to_obj(report)
+    assert obj == plain_obj(report)
     assert "elapsed_seconds" not in obj
     assert "elapsed_seconds" not in report_to_json(report)
 
@@ -671,7 +734,7 @@ def test_collection_round_trip(tmp_path):
     obj = collection_to_obj(coll)
     path = tmp_path / "coll.json"
     path.write_text(json.dumps(obj))
-    loaded = load_collection(str(path))
+    loaded = collection_from_obj(read_json(str(path)))
     assert loaded.bundles == coll.bundles
     assert loaded.blocks == coll.blocks
     assert loaded.name == coll.name
@@ -695,6 +758,39 @@ def test_collection_from_explicit_cartan():
 def test_blocks_must_sum(cayley):
     with pytest.raises(ValueError):
         Collection("bad", cayley, (ZERO6, S_DUAL), blocks=(3,))
+
+
+class Index:
+    """An integer that is not an int, as numpy.int64 is: it has only __index__."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+# kapranovQ7's setup, weights and blocks, each given in another integer form
+INTEGER_FORMS = {
+    "list weights": lambda q7: (q7.setup, [list(w) for w in q7.bundles], q7.blocks),
+    "bool coordinate": lambda q7: (q7.setup, tuple(w[:3] + (True,) if w[3] else w for w in q7.bundles), q7.blocks),
+    "bool crossed": lambda q7: (make_setup(q7.setup.rs, True), q7.bundles, q7.blocks),
+    "__index__ weights": lambda q7: (q7.setup, tuple(tuple(map(Index, w)) for w in q7.bundles), q7.blocks),
+    "__index__ blocks": lambda q7: (q7.setup, q7.bundles, tuple(map(Index, q7.blocks))),
+    "__index__ crossed": lambda q7: (make_setup(q7.setup.rs, Index(1)), q7.bundles, q7.blocks),
+}
+
+
+@pytest.mark.parametrize("form", list(INTEGER_FORMS.values()), ids=list(INTEGER_FORMS))
+def test_records_keep_the_integers_they_checked(form):
+    # a collection stores the ints its checks produced, not the values it was given,
+    # so it verifies and writes the same certificate as its plain-int twin
+    q7 = builtin_collection("kapranovQ7")
+    setup, bundles, blocks = form(q7)
+    coll = Collection(q7.name, setup, bundles, q7.preset, blocks)
+    assert {type(w) for w in coll.bundles} == {tuple}
+    assert {type(x) for x in (coll.setup.crossed, *coll.blocks, *(x for w in coll.bundles for x in w))} == {int}
+    assert report_to_json(verify_strong_exceptional(coll)) == report_to_json(verify_strong_exceptional(q7))
 
 
 def test_report_json_shape():
